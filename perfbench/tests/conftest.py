@@ -1,0 +1,11 @@
+"""Make the program source and the benchmark modules importable.
+
+Run from the repository root with ``python3 -m pytest perfbench/tests``.
+"""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1]
+ROOT = BENCH.parent
+sys.path[:0] = [str(ROOT / "src"), str(BENCH)]
