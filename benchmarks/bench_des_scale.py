@@ -1,14 +1,15 @@
-"""Million-job DES scaling: vectorized pool engine vs. the reference loop.
+"""Million-job DES scaling: the pool engine vs. the reference loop.
 
 The ``bench-des-scale`` group tracks the struct-of-arrays event core at
 the scales the paper's cyberinfrastructure argument actually needs:
 
 * a 100k-task instance (generated from the bundled FDW pattern with the
-  WfChef-style scaler) replayed in trace mode under both pool engines on
+  WfChef-style scaler) replayed in trace mode under the production pool
+  engine and the one-object-per-job oracle (``tests/oracles/pool.py``) on
   a pool wide enough to run a whole DAG level concurrently — the design
   point where the reference loop's per-completion running-list rebuild
   turns quadratic, and
-* a million-task instance replayed in model mode under the vectorized
+* a million-task instance replayed in model mode under the production
   engine — the "does a week of OSPool fit in a coffee break" headline.
 
 Both arms record jobs/sec and peak RSS in the pytest-benchmark
@@ -36,6 +37,7 @@ from repro.osg.capacity import FixedCapacity
 from repro.osg.negotiator import NegotiatorConfig
 from repro.osg.pool import OSPoolConfig
 from repro.wf import generate_instance, import_instance, load_instance, replay_instance
+from tests.oracles.pool import pool_engine
 
 N_100K = max(1_000, round(100_000 * bench_scale()))
 N_1M = max(2_000, round(1_000_000 * bench_scale()))
@@ -83,15 +85,15 @@ def imported_1m(fdw64):
 
 def timed_replay(arm, workflow, n_tasks, engine, runtime, n_slots):
     start = time.perf_counter()
-    result = replay_instance(
-        workflow,
-        seed=0,
-        runtime=runtime,
-        config=wide_pool_config(n_slots),
-        capacity=FixedCapacity(n_slots),
-        options=wide_options(n_tasks),
-        engine=engine,
-    )
+    with pool_engine(engine):
+        result = replay_instance(
+            workflow,
+            seed=0,
+            runtime=runtime,
+            config=wide_pool_config(n_slots),
+            capacity=FixedCapacity(n_slots),
+            options=wide_options(n_tasks),
+        )
     elapsed = time.perf_counter() - start
     RESULTS[arm] = {
         "elapsed_s": elapsed,

@@ -15,8 +15,9 @@ von Kármán evaluation against the unique-lag kernel, cold vs. warm
 :class:`~repro.seismo.klcache.KLCache` lookups, and the seed sequential
 rupture sweep (dense kernel, no cache) against the pooled + memoized
 fan-out. ``phase-b-batch`` compares the per-pair ``okada85`` reference
-loop against the vectorized Chinnery-corner bank build (bit-identical
-products) and the opt-in float32 bank, whose error budget lands in the
+loop (the oracle in ``tests/oracles/okada.py``) against the vectorized
+Chinnery-corner bank build (bit-identical products) and the opt-in
+float32 bank, whose error budget lands in the
 bench JSON ``extra_info``. ``FDW_BENCH_SCALE`` shrinks the workload for smoke runs; pass
 ``--benchmark-json BENCH_kernels.json`` to persist the numbers (the CI
 smoke job archives that artifact).
@@ -48,6 +49,7 @@ from repro.seismo.ruptures import Rupture, RuptureGenerator
 from repro.seismo.spectra import von_karman_correlation
 from repro.seismo.stations import chilean_network
 from repro.seismo.waveforms import WaveformSynthesizer
+from tests.oracles.okada import reference_okada_gf_bank
 
 
 @pytest.fixture(scope="module")
@@ -197,18 +199,6 @@ def test_phase_c_batched_float32(benchmark, gf_bank, ruptures):
     assert dev < 1e-5
 
 
-@pytest.mark.benchmark(group="phase-c-batch")
-def test_phase_c_batched_fft(benchmark, gf_bank, ruptures):
-    """Opt-in FFT-domain synthesis: one shared ramp spectrum delayed by
-    per-pair phase factors instead of per-subfault time-domain ramps."""
-    synth = WaveformSynthesizer(gf_bank, method="fft")
-    sets = benchmark(synth.synthesize_batch, ruptures)
-    reference = WaveformSynthesizer(gf_bank).synthesize_batch(ruptures)
-    dev = _max_rel_pgd_dev(sets, reference)
-    benchmark.extra_info["max_rel_pgd_dev"] = dev
-    assert dev < 1e-3
-
-
 # -- Phase B kernel: reference Okada loop vs vectorized bank ------------------
 
 
@@ -227,9 +217,7 @@ def paper_network():
 @pytest.mark.benchmark(group="phase-b-batch")
 def test_phase_b_reference(benchmark, paper_geometry, paper_network):
     """Seed evaluation: one ``okada85`` call per (station, subfault) pair."""
-    bank = benchmark(
-        compute_okada_gf_bank, paper_geometry, paper_network, engine="reference"
-    )
+    bank = benchmark(reference_okada_gf_bank, paper_geometry, paper_network)
     assert bank.n_stations == len(paper_network)
 
 
@@ -237,9 +225,7 @@ def test_phase_b_reference(benchmark, paper_geometry, paper_network):
 def test_phase_b_vector(benchmark, paper_geometry, paper_network):
     """Batched evaluation: one Chinnery corner tensor for the whole bank."""
     bank = benchmark(compute_okada_gf_bank, paper_geometry, paper_network)
-    reference = compute_okada_gf_bank(
-        paper_geometry, paper_network, engine="reference"
-    )
+    reference = reference_okada_gf_bank(paper_geometry, paper_network)
     assert np.array_equal(bank.statics, reference.statics)  # bit-identical
     assert np.array_equal(bank.travel_time_s, reference.travel_time_s)
 
@@ -263,9 +249,7 @@ def test_phase_b_speedup_report(paper_geometry, paper_network, capsys):
     """One-shot reference-vs-vector comparison of the Okada bank build
     (not a pytest-benchmark timing; runs even with --benchmark-disable)."""
     t0 = time.perf_counter()
-    reference = compute_okada_gf_bank(
-        paper_geometry, paper_network, engine="reference"
-    )
+    reference = reference_okada_gf_bank(paper_geometry, paper_network)
     ref_s = time.perf_counter() - t0
     t0 = time.perf_counter()
     vector = compute_okada_gf_bank(paper_geometry, paper_network)

@@ -14,7 +14,7 @@ subpackage models exactly those mechanisms:
 * :mod:`repro.osg.schedd` / :mod:`repro.osg.negotiator` — queueing and
   matchmaking (scalar oracle plus the vectorized cycle matcher),
 * :mod:`repro.osg.jobtable` — struct-of-arrays job state behind the
-  vectorized pool engine,
+  pool engine,
 * :mod:`repro.osg.metrics` — per-job and per-second statistics,
 * :mod:`repro.osg.pool` — the :class:`OSPoolSimulator` facade that runs
   DAGMan engines to completion.

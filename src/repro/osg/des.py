@@ -18,7 +18,7 @@ tuples (compared at C speed by ``heapq``) while callbacks live in a flat
 
 At million-job scale this core processes events several times faster
 than the previous one-dataclass-per-event design and is the foundation
-of the pool simulator's vectorized engine (see ``repro.osg.pool``).
+of the pool simulator (see ``repro.osg.pool``).
 """
 
 from __future__ import annotations

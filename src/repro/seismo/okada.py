@@ -197,75 +197,7 @@ def okada85(
     return ux, uy, uz
 
 
-def _reference_bank_arrays(
-    geometry: FaultGeometry,
-    network: StationNetwork,
-    ss: float,
-    ds: float,
-    shear_velocity_kms: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-subfault Python loop — the bit-identity oracle.
-
-    Kept verbatim from the original implementation so the vectorized
-    engine can be pinned against it (same pattern as the DES pool's
-    reference engine).
-    """
-    east_f, north_f, depth_f = geometry.enu()
-    east_s, north_s = geometry.projection.to_enu(network.lons, network.lats)
-    n_sta = len(network)
-    n_sub = geometry.n_subfaults
-    statics = np.zeros((n_sta, n_sub, 3))
-    travel = np.zeros((n_sta, n_sub))
-
-    for j in range(n_sub):
-        strike = np.radians(geometry.strike_deg[j])
-        dip = float(geometry.dip_deg[j])
-        length = float(geometry.length_km[j])
-        width = float(geometry.width_km[j])
-        # Bottom-edge depth of the subfault plane (center + half the
-        # vertical extent of the dipping rectangle).
-        half_dz = 0.5 * width * np.sin(np.radians(dip))
-        bottom_depth = float(depth_f[j]) + half_dz
-
-        # Station offsets from the subfault center, rotated into the
-        # fault frame (x along strike, y up-dip horizontal). Strike phi
-        # measured clockwise from north; along-strike unit vector is
-        # (sin phi, cos phi) in (east, north).
-        de = east_s - east_f[j]
-        dn = north_s - north_f[j]
-        sx = de * np.sin(strike) + dn * np.cos(strike)
-        sy_updip = -(de * np.cos(strike) - dn * np.sin(strike))
-        # Okada origin: bottom-left corner -> shift by half length along
-        # strike and by the horizontal reach of the lower half width.
-        x_loc = sx + 0.5 * length
-        y_loc = sy_updip + 0.5 * width * np.cos(np.radians(dip))
-
-        ux, uy, uz = okada85(
-            x_loc,
-            y_loc,
-            depth_km=bottom_depth,
-            dip_deg=dip,
-            length_km=length,
-            width_km=width,
-            strike_slip_m=ss,
-            dip_slip_m=ds,
-        )
-        # Rotate fault-local (x: along strike, y: horizontal up-dip
-        # normal) back to east/north. The up-dip horizontal direction
-        # is 90 deg counterclockwise... defined consistently with the
-        # sy_updip projection above.
-        ue = ux * np.sin(strike) - uy * np.cos(strike)
-        un = ux * np.cos(strike) + uy * np.sin(strike)
-        statics[:, j, 0] = ue
-        statics[:, j, 1] = un
-        statics[:, j, 2] = uz
-        slant = np.sqrt(de**2 + dn**2 + depth_f[j] ** 2)
-        travel[:, j] = slant / shear_velocity_kms
-
-    return statics, travel
-
-
-def _vector_bank_arrays(
+def _bank_arrays(
     geometry: FaultGeometry,
     network: StationNetwork,
     ss: float,
@@ -278,9 +210,10 @@ def _vector_bank_arrays(
     f(x-L,p-W) is evaluated on a ``(n_sta, n_sub, 4)`` tensor: axis 2
     holds the four corner arguments, so each corner function runs once
     per slip component instead of ``3 * n_sub`` times. Every elementwise
-    expression matches the scalar path operation-for-operation, which is
-    what makes the result bit-identical to the reference loop (IEEE-754
-    ufunc loops do not depend on array shape).
+    expression matches a per-subfault ``okada85`` loop
+    operation-for-operation, which is what makes the result
+    bit-identical to that loop (IEEE-754 ufunc loops do not depend on
+    array shape).
     """
     east_f, north_f, depth_f = geometry.enu()
     east_s, north_s = geometry.projection.to_enu(network.lons, network.lats)
@@ -347,15 +280,11 @@ def _vector_bank_arrays(
     return statics, travel
 
 
-_ENGINES = ("vector", "reference")
-
-
 def compute_okada_gf_bank(
     geometry: FaultGeometry,
     network: StationNetwork,
     rake_deg: float = 90.0,
     shear_velocity_kms: float = DEFAULT_SHEAR_VELOCITY_KMS,
-    engine: str = "vector",
     dtype: str | np.dtype = "float64",
 ) -> GreensFunctionBank:
     """Finite-fault static GF bank via Okada's solution.
@@ -367,17 +296,11 @@ def compute_okada_gf_bank(
     (same :class:`GreensFunctionBank` product), and more accurate in the
     near field where the point-source approximation breaks down.
 
-    ``engine="vector"`` (default) broadcasts the Chinnery corner
-    evaluations over all (station, subfault) pairs; ``"reference"`` is
-    the original per-subfault loop, kept as the bit-identity oracle.
-    Both always compute in float64; ``dtype="float32"`` casts the
-    finished bank for half-size storage/transfer (see DESIGN.md for the
-    measured error budget).
+    The Chinnery corner evaluations are broadcast over all (station,
+    subfault) pairs at once. The bank is always computed in float64;
+    ``dtype="float32"`` casts the finished bank for half-size
+    storage/transfer (see DESIGN.md for the measured error budget).
     """
-    if engine not in _ENGINES:
-        raise GreensFunctionError(
-            f"unknown okada engine {engine!r}; expected one of {_ENGINES}"
-        )
     out_dtype = np.dtype(dtype)
     if out_dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
         raise GreensFunctionError(
@@ -388,8 +311,7 @@ def compute_okada_gf_bank(
     ss = float(np.cos(rake))  # strike-slip component of unit slip
     ds = float(np.sin(rake))  # dip-slip component
 
-    build = _vector_bank_arrays if engine == "vector" else _reference_bank_arrays
-    statics, travel = build(geometry, network, ss, ds, shear_velocity_kms)
+    statics, travel = _bank_arrays(geometry, network, ss, ds, shear_velocity_kms)
     if out_dtype != np.dtype(np.float64):
         statics = statics.astype(out_dtype)
         travel = travel.astype(out_dtype)

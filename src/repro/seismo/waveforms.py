@@ -16,6 +16,7 @@ stations vs. <1 min at 2).
 
 from __future__ import annotations
 
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -144,17 +145,30 @@ class WaveformSet:
 
     @classmethod
     def load(cls, path: str | Path) -> "WaveformSet":
-        """Read a set written by :meth:`save`."""
+        """Read a set written by :meth:`save`.
+
+        Raises
+        ------
+        WaveformError
+            If the file is missing, or is truncated, empty or otherwise
+            not a complete product (the numpy/zip error is chained).
+        """
         path = Path(path)
         if not path.exists():
             raise WaveformError(f"waveform file not found: {path}")
-        with np.load(path, allow_pickle=False) as data:
-            return cls(
-                rupture_id=str(data["rupture_id"]),
-                data=data["data"],
-                dt_s=float(data["dt_s"]),
-                station_names=tuple(str(n) for n in data["station_names"]),
-            )
+        try:
+            # Open the file here: np.load leaks its own handle when the
+            # zip container fails to parse.
+            with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
+                fields = dict(
+                    rupture_id=str(data["rupture_id"]),
+                    data=data["data"],
+                    dt_s=float(data["dt_s"]),
+                    station_names=tuple(str(n) for n in data["station_names"]),
+                )
+        except (zipfile.BadZipFile, ValueError, KeyError, EOFError, OSError) as exc:
+            raise WaveformError(f"damaged waveform file {path}: {exc}") from exc
+        return cls(**fields)
 
 
 class WaveformSynthesizer:
@@ -171,20 +185,7 @@ class WaveformSynthesizer:
         the slowest travel time plus a tail.
     noise:
         Optional additive noise model; omit for clean synthetics.
-    method:
-        ``"time"`` (default) lags each subfault's ramp in the time
-        domain — bit-identical between the scalar and batched paths.
-        ``"fft"`` applies the arrival delays as phase shifts on the
-        ``rfft`` of a shared complement-pulse stack; band-limited
-        fractional-delay interpolation makes it approximate (relative
-        PGD error ~1e-6, see DESIGN.md), so it is strictly opt-in.
     """
-
-    _METHODS = ("time", "fft")
-
-    #: Width (samples) of the raised-cosine wrap transition the FFT
-    #: method parks past the record end (see :meth:`_synthesize_fft`).
-    _FFT_WRAP_SAMPLES = 48
 
     def __init__(
         self,
@@ -192,21 +193,15 @@ class WaveformSynthesizer:
         dt_s: float = 1.0,
         duration_s: float | None = None,
         noise: GnssNoiseModel | None = None,
-        method: str = "time",
     ) -> None:
         if dt_s <= 0:
             raise WaveformError(f"dt must be positive, got {dt_s}")
         if duration_s is not None and duration_s <= 0:
             raise WaveformError(f"duration must be positive, got {duration_s}")
-        if method not in self._METHODS:
-            raise WaveformError(
-                f"unknown synthesis method {method!r}; expected one of {self._METHODS}"
-            )
         self.gf_bank = gf_bank
         self.dt_s = float(dt_s)
         self.duration_s = duration_s
         self.noise = noise
-        self.method = method
 
     @property
     def _work_dtype(self) -> np.dtype:
@@ -263,23 +258,19 @@ class WaveformSynthesizer:
         tt = self.gf_bank.travel_time_s[:, patch]  # (nsta, npatch)
         nt = self._record_length(rupture, tt)
 
-        if self.method == "fft":
-            out = self._synthesize_fft(rupture, gf, tt, nt)
-        else:
-            times = self._times(nt)
-            n_sta = self.gf_bank.n_stations
-            out = np.empty((n_sta, 3, nt), dtype=self._work_dtype)
-            slip, onset, rise = self._source_arrays(rupture)
+        times = self._times(nt)
+        n_sta = self.gf_bank.n_stations
+        out = np.empty((n_sta, 3, nt), dtype=self._work_dtype)
+        slip, onset, rise = self._source_arrays(rupture)
 
-            # Per-station vectorized accumulation; (npatch, nt)
-            # intermediate keeps memory bounded for large meshes (see
-            # DESIGN.md).
-            for i in range(n_sta):
-                arrival = onset + tt[i]  # (npatch,)
-                x = (times[None, :] - arrival[:, None]) / rise[:, None]
-                ramp = 0.5 * (1.0 - np.cos(np.pi * np.clip(x, 0.0, 1.0)))
-                weighted = gf[i] * slip[:, None]  # (npatch, 3)
-                out[i] = weighted.T @ ramp  # (3, nt)
+        # Per-station vectorized accumulation; (npatch, nt) intermediate
+        # keeps memory bounded for large meshes (see DESIGN.md).
+        for i in range(n_sta):
+            arrival = onset + tt[i]  # (npatch,)
+            x = (times[None, :] - arrival[:, None]) / rise[:, None]
+            ramp = 0.5 * (1.0 - np.cos(np.pi * np.clip(x, 0.0, 1.0)))
+            weighted = gf[i] * slip[:, None]  # (npatch, 3)
+            out[i] = weighted.T @ ramp  # (3, nt)
 
         if self.noise is not None:
             out += self.noise.sample(rng, out.shape, self.dt_s)  # type: ignore[arg-type]
@@ -291,94 +282,6 @@ class WaveformSynthesizer:
             station_names=self.gf_bank.station_names,
             metadata={"target_mw": rupture.target_mw},
         )
-
-    def _synthesize_fft(
-        self,
-        rupture: Rupture,
-        gf: np.ndarray,
-        tt: np.ndarray,
-        nt: int,
-    ) -> np.ndarray:
-        """FFT-domain synthesis core: delays applied as phase shifts.
-
-        The ramp of a subfault arriving at ``a`` is a *step* (it never
-        comes back down), so it cannot be circularly delayed directly.
-        Decompose it instead: ``r(t - a) = 1 - c(t - a)`` where the
-        complement pulse ``c = 1 - r`` is compactly supported on
-        ``[0, rise]`` — and park a raised-cosine 0->1 transition in the
-        zero-padded region past the record end so the circular signal
-        wraps continuously. Then one ``rfft`` of the shared complement
-        stack, per-station delay phases ``z^k`` built by repeated
-        squaring (log2(F) complex-multiply passes instead of a
-        transcendental per (patch, frequency)), a (3, npatch) x
-        (npatch, F) matmul in the frequency domain, and one ``irfft``
-        per station. Band-limited fractional-delay interpolation makes
-        the result approximate at the ~1e-6 relative-PGD level.
-        """
-        n_sta = self.gf_bank.n_stations
-        slip = rupture.slip_m.astype(float, copy=False)
-        onset = rupture.onset_time_s.astype(float, copy=False)
-        rise = np.maximum(rupture.rise_time_s, self.dt_s * 0.5).astype(
-            float, copy=False
-        )
-        dt = self.dt_s
-
-        arrivals = onset[None, :] + tt.astype(float, copy=False)  # (nsta, npatch)
-        tau_max = float(arrivals.max()) / dt
-        wrap = self._FFT_WRAP_SAMPLES
-        b0 = nt
-        n_min = int(np.ceil(b0 + wrap + tau_max)) + 2
-        nfft = 1 << (n_min - 1).bit_length()
-        n_freq = nfft // 2 + 1
-
-        # Shared complement-pulse stack: 1 -> 0 over each patch's rise
-        # time, flat 0, then the wrap transition back to 1 past the
-        # record end (delays only push it further out, never into the
-        # [0, nt) window the caller keeps).
-        xx = (np.arange(nfft) * dt)[None, :] / rise[:, None]
-        c0 = 1.0 - 0.5 * (1.0 - np.cos(np.pi * np.clip(xx, 0.0, 1.0)))
-        c0[:, b0 : b0 + wrap] = (
-            0.5 * (1.0 - np.cos(np.pi * np.arange(wrap) / wrap))
-        )[None, :]
-        c0[:, b0 + wrap :] = 1.0
-        spec = np.fft.rfft(c0, axis=1)  # (npatch, n_freq)
-
-        weighted = gf.astype(float, copy=False) * slip[None, :, None]
-        static = weighted.sum(axis=1)  # (nsta, 3)
-        alpha = (2.0 * np.pi / (nfft * dt)) * arrivals
-
-        out = np.empty((n_sta, 3, nt), dtype=self._work_dtype)
-        phases = np.empty((len(slip), n_freq), dtype=complex)
-        for i in range(n_sta):
-            # phases[:, k] = z^k with z = exp(-i alpha): doubling fills
-            # [m, 2m) from [0, m) with one vectorized multiply per pass.
-            z = np.exp(-1j * alpha[i])
-            phases[:, 0] = 1.0
-            z_m = z.copy()
-            m = 1
-            while m < n_freq:
-                take = min(m, n_freq - m)
-                np.multiply(
-                    phases[:, :take], z_m[:, None], out=phases[:, m : m + take]
-                )
-                np.multiply(z_m, z_m, out=z_m)
-                m *= 2
-            hat = weighted[i].T @ (spec * phases)  # (3, n_freq)
-            delayed = np.fft.irfft(hat, n=nfft, axis=1)[:, :nt]
-            out[i] = static[i][:, None] - delayed
-        return out
-
-    def synthesize_many(
-        self,
-        ruptures: list[Rupture],
-        rng: np.random.Generator | None = None,
-    ) -> list[WaveformSet]:
-        """Synthesize waveform sets for a chunk of ruptures (a C-phase job).
-
-        Delegates to :meth:`synthesize_batch`, which produces bitwise
-        the same products as calling :meth:`synthesize` in a loop.
-        """
-        return self.synthesize_batch(ruptures, rngs=rng)
 
     def synthesize_batch(
         self,
@@ -427,22 +330,6 @@ class WaveformSynthesizer:
                 )
         if self.noise is not None and any(r is None for r in rng_list):
             raise WaveformError("noise model configured but no rng supplied")
-
-        if self.method == "fft":
-            # The FFT core is already a whole-network batch per rupture;
-            # chunking adds nothing, so just run it per rupture (same
-            # products as a :meth:`synthesize` loop).
-            outs = []
-            for rupture in ruptures:
-                patch = rupture.subfault_indices
-                gf = bank.statics[:, patch, :]
-                tt = bank.travel_time_s[:, patch]
-                outs.append(
-                    self._synthesize_fft(
-                        rupture, gf, tt, self._record_length(rupture, tt)
-                    )
-                )
-            return self._assemble(ruptures, outs, rng_list)
 
         # Concatenate every rupture's patch into one axis; `segments`
         # holds each rupture's [start, end) slice of that axis.

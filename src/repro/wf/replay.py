@@ -224,7 +224,6 @@ def replay_instance(
     capacity: CapacityProcess | None = None,
     options: DagmanOptions | None = None,
     stagger_s: float = 0.0,
-    engine: str = "vector",
 ) -> ReplayResult:
     """Run a WfFormat instance through the OSPool simulator.
 
@@ -246,10 +245,6 @@ def replay_instance(
         retries that happened.
     stagger_s:
         Submission offset between consecutive DAGMans.
-    engine:
-        Pool simulator engine — ``"vector"`` (default) or
-        ``"reference"``; both are bit-identical (see
-        :class:`~repro.osg.pool.OSPoolSimulator`).
     """
     if n_dagmans < 1:
         raise WfFormatError(f"n_dagmans must be >= 1, got {n_dagmans}")
@@ -272,9 +267,7 @@ def replay_instance(
             runtime=TraceRuntimeModel(runtimes=merged),
             success_prob=1.0,
         )
-    pool = OSPoolSimulator(
-        config=pool_config, capacity=capacity, seed=seed, engine=engine
-    )
+    pool = OSPoolSimulator(config=pool_config, capacity=capacity, seed=seed)
     for i, wf in enumerate(workflows):
         pool.submit_dagman(wf.dag, options, name=wf.name, at_time=i * stagger_s)
     metrics = pool.run()
@@ -299,7 +292,6 @@ def replay_study(
     capacity: CapacityProcess | None = None,
     options: DagmanOptions | None = None,
     stagger_s: float = 0.0,
-    engine: str = "vector",
 ) -> dict[int, ReplayResult]:
     """The paper's concurrent-DAGMan study on an arbitrary instance.
 
@@ -322,7 +314,6 @@ def replay_study(
             capacity=capacity,
             options=options,
             stagger_s=stagger_s,
-            engine=engine,
         )
         for k in counts
     }

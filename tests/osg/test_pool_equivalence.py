@@ -1,11 +1,11 @@
-"""Bit-identical equivalence of the vectorized and reference pool engines.
+"""Bit-identical equivalence of the pool DES and its reference oracle.
 
-The vectorized engine (struct-of-arrays job table, batched negotiation,
-coalesced completion events) must reproduce the reference engine's
-output *exactly* — same job records, same DAGMan summaries, same
-capacity traces, same rendered user logs, same rescue files — because
-both consume the shared RNG streams in the same order. Every scenario
-here runs both engines and diffs everything observable.
+The production engine (struct-of-arrays job table, batched negotiation,
+coalesced completion events) must reproduce the one-object-per-job
+oracle in :mod:`tests.oracles.pool` *exactly* — same job records, same
+DAGMan summaries, same capacity traces, same rendered user logs, same
+rescue files — because both consume the shared RNG streams in the same
+order. Every scenario here runs both and diffs everything observable.
 """
 
 from pathlib import Path
@@ -15,16 +15,16 @@ import pytest
 from repro.condor.dagfile import DagDescription
 from repro.condor.jobs import JobPayload, JobSpec
 from repro.condor.rescue import read_rescue_file
-from repro.errors import SimulationError
 from repro.osg.capacity import FixedCapacity, MarkovModulatedCapacity
 from repro.osg.pool import OSPoolConfig, OSPoolSimulator, resubmit_with_rescue
 from repro.osg.runtimes import RuntimeModel
 from repro.osg.transfer import TransferConfig
 from repro.wf.replay import replay_instance, replay_study
+from tests.oracles.pool import ENGINES, ReferencePoolSimulator, pool_engine
 
 FDW64 = Path(__file__).resolve().parents[2] / "examples" / "fdw64_wfformat.json"
 
-ENGINES = ("reference", "vector")
+POOLS = {"reference": ReferencePoolSimulator, "vector": OSPoolSimulator}
 
 
 def flat_dag(n_jobs=10, retries=2, name="e"):
@@ -83,8 +83,8 @@ def quiet_config(**kwargs):
 
 def test_flat_dag_identical():
     assert_same_outputs(
-        lambda engine: OSPoolSimulator(
-            config=quiet_config(), capacity=FixedCapacity(4), seed=11, engine=engine
+        lambda engine: POOLS[engine](
+            config=quiet_config(), capacity=FixedCapacity(4), seed=11
         ),
         lambda: [flat_dag(20)],
     )
@@ -92,11 +92,10 @@ def test_flat_dag_identical():
 
 def test_failures_and_retries_identical():
     assert_same_outputs(
-        lambda engine: OSPoolSimulator(
+        lambda engine: POOLS[engine](
             config=quiet_config(success_prob=0.6),
             capacity=FixedCapacity(3),
             seed=5,
-            engine=engine,
         ),
         lambda: [flat_dag(15, retries=5)],
     )
@@ -104,8 +103,8 @@ def test_failures_and_retries_identical():
 
 def test_concurrent_dagmans_identical():
     assert_same_outputs(
-        lambda engine: OSPoolSimulator(
-            config=quiet_config(), capacity=FixedCapacity(5), seed=2, engine=engine
+        lambda engine: POOLS[engine](
+            config=quiet_config(), capacity=FixedCapacity(5), seed=2
         ),
         lambda: [flat_dag(12, name="x"), flat_dag(12, name="y")],
     )
@@ -116,7 +115,7 @@ def test_concurrent_dagmans_identical():
 
 def test_preemption_under_markov_capacity_identical():
     def make_pool(engine):
-        return OSPoolSimulator(
+        return POOLS[engine](
             config=quiet_config(
                 runtime=RuntimeModel(a_base_s=500.0, a_per_rupture_s=0.0, sigma_log=0.0)
             ),
@@ -124,7 +123,6 @@ def test_preemption_under_markov_capacity_identical():
                 levels=[8, 1], mean_dwell_s=[200.0, 200.0], jitter=0.0
             ),
             seed=8,
-            engine=engine,
         )
 
     results = assert_same_outputs(make_pool, lambda: [flat_dag(10, retries=3)])
@@ -138,8 +136,8 @@ def test_injected_evictions_identical():
             pool.sim.schedule_at(t, lambda: pool.inject_eviction(2))
 
     assert_same_outputs(
-        lambda engine: OSPoolSimulator(
-            config=quiet_config(), capacity=FixedCapacity(4), seed=4, engine=engine
+        lambda engine: POOLS[engine](
+            config=quiet_config(), capacity=FixedCapacity(4), seed=4
         ),
         lambda: [flat_dag(16, retries=3)],
         pre_run=pre_run,
@@ -148,13 +146,12 @@ def test_injected_evictions_identical():
 
 def test_holds_identical():
     assert_same_outputs(
-        lambda engine: OSPoolSimulator(
+        lambda engine: POOLS[engine](
             config=quiet_config(
                 success_prob=0.5, max_job_holds=2, hold_release_s=40.0
             ),
             capacity=FixedCapacity(3),
             seed=3,
-            engine=engine,
         ),
         lambda: [flat_dag(10, retries=0)],
     )
@@ -162,11 +159,10 @@ def test_holds_identical():
 
 def test_injected_holds_identical():
     assert_same_outputs(
-        lambda engine: OSPoolSimulator(
+        lambda engine: POOLS[engine](
             config=quiet_config(hold_release_s=25.0),
             capacity=FixedCapacity(4),
             seed=6,
-            engine=engine,
         ),
         lambda: [flat_dag(12, retries=1)],
         pre_run=lambda pool: pool.sim.schedule_at(
@@ -179,12 +175,11 @@ def test_kill_and_rescue_identical(tmp_path):
     dag_factory = lambda: [flat_dag(24, retries=1, name="k")]
     rescue_files = {}
     for engine in ENGINES:
-        pool = OSPoolSimulator(
+        pool = POOLS[engine](
             config=quiet_config(),
             capacity=FixedCapacity(2),
             seed=7,
             rescue_dir=tmp_path / engine,
-            engine=engine,
         )
         metrics, logs = pool_outputs(
             pool,
@@ -202,15 +197,16 @@ def test_kill_and_rescue_identical(tmp_path):
     # Resume from the (identical) rescue file under both engines.
     resumed = {}
     for engine in ENGINES:
-        pool2, run2 = resubmit_with_rescue(
-            dag_factory()[0],
-            rescue_files[engine],
-            name="k",
-            config=quiet_config(),
-            capacity=FixedCapacity(4),
-            seed=9,
-            engine=engine,
-        )
+        with pool_engine(engine):
+            pool2, run2 = resubmit_with_rescue(
+                dag_factory()[0],
+                rescue_files[engine],
+                name="k",
+                config=quiet_config(),
+                capacity=FixedCapacity(4),
+                seed=9,
+            )
+        assert isinstance(pool2, POOLS[engine])
         metrics2 = pool2.run()
         assert run2.engine.is_complete
         resumed[engine] = (metrics2.records, pool2.dagman_runs["k"].user_log.render())
@@ -232,9 +228,7 @@ def test_reference_engine_heap_bounded_under_eviction_storm():
         runtime=RuntimeModel(a_base_s=50_000.0, a_per_rupture_s=0.0, sigma_log=0.0),
         preemption=False,
     )
-    pool = OSPoolSimulator(
-        config=config, capacity=FixedCapacity(4), seed=1, engine="reference"
-    )
+    pool = ReferencePoolSimulator(config=config, capacity=FixedCapacity(4), seed=1)
     pool.submit_dagman(flat_dag(8, retries=0))
     samples = []
 
@@ -262,10 +256,10 @@ def test_reference_engine_heap_bounded_under_eviction_storm():
 
 @pytest.mark.parametrize("runtime", ["trace", "model"])
 def test_fdw64_replay_identical(runtime):
-    results = {
-        engine: replay_instance(FDW64, seed=0, runtime=runtime, engine=engine)
-        for engine in ENGINES
-    }
+    results = {}
+    for engine in ENGINES:
+        with pool_engine(engine):
+            results[engine] = replay_instance(FDW64, seed=0, runtime=runtime)
     ref, vec = results["reference"], results["vector"]
     assert ref.metrics.records == vec.metrics.records
     assert ref.metrics.dagmans == vec.metrics.dagmans
@@ -278,10 +272,10 @@ def test_fdw64_replay_identical(runtime):
 
 
 def test_fdw64_partition_study_identical():
-    studies = {
-        engine: replay_study(FDW64, counts=(1, 2, 4, 8), seed=0, engine=engine)
-        for engine in ENGINES
-    }
+    studies = {}
+    for engine in ENGINES:
+        with pool_engine(engine):
+            studies[engine] = replay_study(FDW64, counts=(1, 2, 4, 8), seed=0)
     for count in (1, 2, 4, 8):
         ref, vec = studies["reference"][count], studies["vector"][count]
         assert ref.metrics.records == vec.metrics.records
@@ -292,6 +286,14 @@ def test_fdw64_partition_study_identical():
         }
 
 
-def test_engine_argument_validated():
-    with pytest.raises(SimulationError):
-        OSPoolSimulator(engine="turbo")
+def test_pool_engine_routes_every_pool_builder():
+    from repro.core import submit_osg
+    from repro.osg import pool as pool_module
+    from repro.wf import replay
+
+    modules = (pool_module, submit_osg, replay)
+    with pool_engine("reference"):
+        assert all(m.OSPoolSimulator is ReferencePoolSimulator for m in modules)
+    assert all(m.OSPoolSimulator is OSPoolSimulator for m in modules)
+    with pool_engine("vector"):
+        assert all(m.OSPoolSimulator is OSPoolSimulator for m in modules)

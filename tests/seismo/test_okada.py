@@ -6,6 +6,7 @@ import pytest
 from repro.errors import GreensFunctionError
 from repro.seismo.greens import compute_gf_bank
 from repro.seismo.okada import compute_okada_gf_bank, okada85
+from tests.oracles.okada import reference_okada_gf_bank
 
 THRUST = dict(depth_km=12.0, dip_deg=30.0, length_km=20.0, width_km=10.0, dip_slip_m=1.0)
 
@@ -158,25 +159,19 @@ class TestGoldenValues:
 
 
 class TestVectorEngine:
-    """The batched (station, subfault, 4-corner) engine against the
-    per-subfault reference loop — the PR's bit-identity contract."""
+    """The batched (station, subfault, 4-corner) build against the
+    per-subfault reference loop — the bit-identity contract."""
 
     def test_bit_identical_on_small_mesh(self, small_geometry, small_network):
-        ref = compute_okada_gf_bank(small_geometry, small_network, engine="reference")
-        vec = compute_okada_gf_bank(small_geometry, small_network, engine="vector")
+        ref = reference_okada_gf_bank(small_geometry, small_network)
+        vec = compute_okada_gf_bank(small_geometry, small_network)
         assert np.array_equal(ref.statics, vec.statics)
         assert np.array_equal(ref.travel_time_s, vec.travel_time_s)
 
     def test_bit_identical_for_oblique_rake(self, small_geometry, small_network):
-        ref = compute_okada_gf_bank(
-            small_geometry, small_network, rake_deg=37.0, engine="reference"
-        )
+        ref = reference_okada_gf_bank(small_geometry, small_network, rake_deg=37.0)
         vec = compute_okada_gf_bank(small_geometry, small_network, rake_deg=37.0)
         assert np.array_equal(ref.statics, vec.statics)
-
-    def test_unknown_engine_rejected(self, small_geometry, small_network):
-        with pytest.raises(GreensFunctionError):
-            compute_okada_gf_bank(small_geometry, small_network, engine="gpu")
 
     def test_bad_dtype_rejected(self, small_geometry, small_network):
         with pytest.raises(GreensFunctionError):
@@ -200,9 +195,9 @@ class TestVectorEngine:
             geom, dip_deg=np.zeros_like(geom.dip_deg)  # dip must be in (0, 90]
         )
         with pytest.raises(GreensFunctionError):
-            compute_okada_gf_bank(flat, small_network, engine="vector")
+            compute_okada_gf_bank(flat, small_network)
         with pytest.raises(GreensFunctionError):
-            compute_okada_gf_bank(flat, small_network, engine="reference")
+            reference_okada_gf_bank(flat, small_network)
 
 
 class TestVectorEngineProperty:
@@ -240,10 +235,13 @@ class TestVectorEngineProperty:
         return geom, stations
 
     def test_property_vector_equals_reference(self):
-        from hypothesis import given, settings
+        from hypothesis import example, given, settings
         from hypothesis import strategies as st
 
         @settings(max_examples=25, deadline=None)
+        # A depth whose numpy-scalar ``** 2`` (libm pow) is one ulp off
+        # the exact square once tripped the oracle's travel times.
+        @example(seed=178345, n_sub=3, n_sta=1, rake=0.0)
         @given(
             seed=st.integers(0, 2**31 - 1),
             n_sub=st.integers(2, 6),
@@ -252,9 +250,7 @@ class TestVectorEngineProperty:
         )
         def check(seed, n_sub, n_sta, rake):
             geom, stations = self._random_case(seed, n_sub, n_sta, rake)
-            ref = compute_okada_gf_bank(
-                geom, stations, rake_deg=rake, engine="reference"
-            )
+            ref = reference_okada_gf_bank(geom, stations, rake_deg=rake)
             vec = compute_okada_gf_bank(geom, stations, rake_deg=rake)
             assert np.array_equal(ref.statics, vec.statics)
             assert np.array_equal(ref.travel_time_s, vec.travel_time_s)

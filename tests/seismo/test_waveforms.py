@@ -1,5 +1,7 @@
 """Tests for repro.seismo.waveforms."""
 
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -87,15 +89,6 @@ def test_noise_model_validation():
         GnssNoiseModel(white_sigma_m=-1.0)
 
 
-def test_synthesize_many(small_gf_bank, rupture_generator):
-    rng = np.random.default_rng(1)
-    ruptures = rupture_generator.generate_many(3, rng)
-    synth = WaveformSynthesizer(small_gf_bank)
-    sets = synth.synthesize_many(ruptures)
-    assert len(sets) == 3
-    assert {ws.rupture_id for ws in sets} == {r.rupture_id for r in ruptures}
-
-
 def test_rejects_rupture_outside_bank(small_gf_bank, sample_rupture):
     import dataclasses
 
@@ -120,6 +113,23 @@ def test_save_load_roundtrip(tmp_path, clean_set):
 def test_load_missing_raises(tmp_path):
     with pytest.raises(WaveformError):
         WaveformSet.load(tmp_path / "nope.npz")
+
+
+def test_load_truncated_raises_waveform_error(tmp_path, clean_set):
+    path = clean_set.save(tmp_path / "wf.npz")
+    blob = path.read_bytes()
+    path.write_bytes(blob[: len(blob) // 2])
+    with pytest.raises(WaveformError, match="wf.npz") as info:
+        WaveformSet.load(path)
+    assert isinstance(info.value.__cause__, zipfile.BadZipFile)
+
+
+def test_load_empty_file_raises_waveform_error(tmp_path):
+    path = tmp_path / "empty.npz"
+    path.write_bytes(b"")
+    with pytest.raises(WaveformError, match="empty.npz") as info:
+        WaveformSet.load(path)
+    assert isinstance(info.value.__cause__, EOFError)
 
 
 def test_waveform_set_validation():
@@ -207,54 +217,6 @@ def test_batch_noise_requires_rng(small_gf_bank, rupture_batch):
 def test_batch_empty_list(small_gf_bank):
     synth = WaveformSynthesizer(small_gf_bank)
     assert synth.synthesize_batch([]) == []
-
-
-class TestSynthesisMethods:
-    """The opt-in FFT-domain path and the float32 working dtype."""
-
-    def test_unknown_method_rejected(self, small_gf_bank):
-        with pytest.raises(WaveformError):
-            WaveformSynthesizer(small_gf_bank, method="wavelet")
-
-    def test_fft_matches_time_domain_within_budget(
-        self, small_gf_bank, sample_rupture
-    ):
-        time_ws = WaveformSynthesizer(small_gf_bank).synthesize(sample_rupture)
-        fft_ws = WaveformSynthesizer(small_gf_bank, method="fft").synthesize(
-            sample_rupture
-        )
-        assert fft_ws.data.shape == time_ws.data.shape
-        scale = float(time_ws.pgd_m().max())
-        # Band-limited fractional delays: small but nonzero deviation.
-        assert float(np.max(np.abs(fft_ws.data - time_ws.data))) < 1e-3 * scale
-        rel_pgd = np.max(
-            np.abs(fft_ws.pgd_m() - time_ws.pgd_m())
-            / np.maximum(time_ws.pgd_m(), 1e-12)
-        )
-        assert float(rel_pgd) < 1e-3
-        # The static field survives exactly where it matters most.
-        assert float(
-            np.max(np.abs(fft_ws.final_offsets_m() - time_ws.final_offsets_m()))
-        ) < 1e-6
-
-    def test_fft_scalar_equals_fft_batch(self, small_gf_bank, rupture_generator):
-        ruptures = [
-            rupture_generator.generate(
-                np.random.default_rng(40 + i), rupture_id=f"fft.{i}", target_mw=8.1
-            )
-            for i in range(3)
-        ]
-        synth = WaveformSynthesizer(small_gf_bank, method="fft")
-        scalar = [synth.synthesize(r) for r in ruptures]
-        batch = synth.synthesize_batch(ruptures)
-        for a, b in zip(scalar, batch):
-            assert np.array_equal(a.data, b.data)
-
-    def test_fft_fixed_duration(self, small_gf_bank, sample_rupture):
-        ws = WaveformSynthesizer(
-            small_gf_bank, duration_s=128.0, method="fft"
-        ).synthesize(sample_rupture)
-        assert ws.n_samples == 128
 
 
 class TestFloat32Synthesis:

@@ -12,6 +12,7 @@ from repro.service.runner import (
     RunnerOutcome,
     SimulatedRunner,
 )
+from tests.oracles.pool import pool_engine
 
 
 @pytest.fixture()
@@ -64,9 +65,8 @@ def test_pool_runner_matches_batch_metrics(config):
 
 
 def test_pool_runner_engines_agree(config):
-    vector = PoolRunner(capacity=FixedCapacity(8), engine="vector")
-    reference = PoolRunner(capacity=FixedCapacity(8), engine="reference")
-    assert (
-        vector.execute(config, seed=5).elapsed_s
-        == reference.execute(config, seed=5).elapsed_s
-    )
+    runner = PoolRunner(capacity=FixedCapacity(8))
+    vector = runner.execute(config, seed=5)
+    with pool_engine("reference"):
+        reference = runner.execute(config, seed=5)
+    assert vector.elapsed_s == reference.elapsed_s
