@@ -83,16 +83,17 @@ print(
 )
 
 # Archive products with labels (what FDW does on OSG storage).
-archive = ProductArchive(workdir / "archive", name="chile_catalog")
-for rupture, ws in zip(ruptures, waveform_sets):
-    rupt_tmp = workdir / f"{rupture.rupture_id}.rupt"
-    write_rupt(rupture, fq.geometry, rupt_tmp)
-    archive.add_file(rupt_tmp, "ruptures", rupture.rupture_id,
-                     metadata={"mw": round(rupture.actual_mw, 3)}, move=True)
-    ws_tmp = workdir / f"{ws.rupture_id}.npz"
-    ws.save(ws_tmp)
-    archive.add_file(ws_tmp, "waveforms", ws.rupture_id,
-                     metadata={"mw": round(rupture.actual_mw, 3)}, move=True)
+# Closing the archive writes its manifest once, for all the adds.
+with ProductArchive(workdir / "archive", name="chile_catalog") as archive:
+    for rupture, ws in zip(ruptures, waveform_sets):
+        rupt_tmp = workdir / f"{rupture.rupture_id}.rupt"
+        write_rupt(rupture, fq.geometry, rupt_tmp)
+        archive.add_file(rupt_tmp, "ruptures", rupture.rupture_id,
+                         metadata={"mw": round(rupture.actual_mw, 3)}, move=True)
+        ws_tmp = workdir / f"{ws.rupture_id}.npz"
+        ws.save(ws_tmp)
+        archive.add_file(ws_tmp, "waveforms", ws.rupture_id,
+                         metadata={"mw": round(rupture.actual_mw, 3)}, move=True)
 
 big_events = archive.find(kind="waveforms")
 big_events = [e for e in big_events if e["metadata"]["mw"] >= 8.5]

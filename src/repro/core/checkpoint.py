@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import pickle
 import shutil
 from pathlib import Path
@@ -50,6 +49,7 @@ from pathlib import Path
 from repro.errors import CheckpointError, IntegrityError
 from repro.core.config import FdwConfig
 from repro.integrity import (
+    atomic_write_bytes,
     quarantine_artifact,
     read_verified,
     sha256_bytes,
@@ -72,21 +72,6 @@ def config_digest(config: FdwConfig) -> str:
     configuration that produced it.
     """
     return hashlib.sha256(repr(config).encode()).hexdigest()
-
-
-def atomic_write_bytes(path: Path, data: bytes) -> None:
-    """Write ``data`` to ``path`` via temp-file-then-rename.
-
-    The temp file lives in the same directory (``os.replace`` must not
-    cross filesystems) and is fsynced before the rename, so ``path``
-    never exposes a torn write.
-    """
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
 
 
 class RunCheckpoint:
@@ -320,14 +305,16 @@ class RunCheckpoint:
     def reset_archive(self) -> None:
         """Remove a partial archive so reassembly is idempotent.
 
-        Only the archive's own manifest and product subdirectories are
-        touched; the checkpoint directory survives.
+        Only the archive's own manifest, journal and product
+        subdirectories are touched; the checkpoint directory survives.
+        The journal goes too: an interrupted rebuild leaves one behind,
+        and replaying it into the fresh archive would make the rebuild's
+        first add a duplicate.
         """
         for kind in ("waveforms", "ruptures"):
             shutil.rmtree(self.archive_dir / kind, ignore_errors=True)
-        manifest = self.archive_dir / ProductArchive.MANIFEST
-        if manifest.exists():
-            manifest.unlink()
+        for name in (ProductArchive.MANIFEST, ProductArchive.JOURNAL):
+            (self.archive_dir / name).unlink(missing_ok=True)
 
     def finalize(self) -> None:
         """Delete the checkpoint after the archive is fully assembled."""

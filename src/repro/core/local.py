@@ -646,6 +646,7 @@ class LocalRunner:
                     metadata={"mw": round(rupture.actual_mw, 3)},
                     move=True,
                 )
+            archive.close()
         if ckpt is not None:
             ckpt.finalize()
 

@@ -39,6 +39,7 @@ __all__ = [
     "QUARANTINE_DIRNAME",
     "sha256_bytes",
     "digest_path",
+    "atomic_write_bytes",
     "write_artifact",
     "write_digest",
     "read_digest",
@@ -65,8 +66,13 @@ def digest_path(path: str | Path) -> Path:
     return path.with_name(path.name + DIGEST_SUFFIX)
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
-    """Temp-then-rename write (same-directory temp, fsynced)."""
+def atomic_write_bytes(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` via temp-file-then-rename.
+
+    The temp file lives in the same directory (``os.replace`` must not
+    cross filesystems) and is fsynced before the rename, so ``path``
+    never exposes a torn write.
+    """
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as fh:
         fh.write(data)
@@ -88,7 +94,7 @@ def write_artifact(path: str | Path, data: bytes) -> Path:
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    _atomic_write(path, data)
+    atomic_write_bytes(path, data)
     write_digest(path, sha256_bytes(data))
     return path
 
@@ -105,7 +111,7 @@ def write_digest(path: str | Path, digest: str | None = None) -> Path:
     if digest is None:
         digest = sha256_bytes(path.read_bytes())
     side = digest_path(path)
-    _atomic_write(side, f"{digest}  {path.name}\n".encode("ascii"))
+    atomic_write_bytes(side, f"{digest}  {path.name}\n".encode("ascii"))
     return side
 
 

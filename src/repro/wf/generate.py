@@ -227,7 +227,8 @@ def partition_instance(
     if k == 1:
         return [source]
     n = source.n_tasks
-    n_types = len({(lvl, source.task(t).category) for t, lvl in source.levels().items()})
+    category = {t.name: t.category for t in source.tasks}
+    n_types = len({(lvl, category[t]) for t, lvl in source.levels().items()})
     base, extra = divmod(n, k)
     counts = [base + (1 if i < extra else 0) for i in range(k)]
     if min(counts) < n_types:

@@ -10,6 +10,7 @@ from repro.core.local import LocalRunner
 from repro.errors import CheckpointError, ConfigError
 from repro.faults import ChunkCrash, FaultInjected, FaultPlan
 from repro.integrity import write_digest
+from repro.seismo.mudpy_io import ProductArchive
 
 
 @pytest.fixture(scope="module")
@@ -192,6 +193,37 @@ def test_crash_resume_yields_identical_archive(tmp_path, ckpt_config):
     assert result.pgd_by_rupture == plain.pgd_by_rupture
     assert result.n_waveform_sets == ckpt_config.n_waveforms
     assert not (crash_dir / RunCheckpoint.DIRNAME).exists()
+
+
+def test_interrupted_rebuild_resumes_to_identical_archive(
+    tmp_path, ckpt_config, monkeypatch
+):
+    """A crash while the archive is being rebuilt from the checkpoint
+    leaves a partial journal behind; resuming must not replay it into
+    the fresh archive (its first add would be a duplicate)."""
+    plain = LocalRunner().run(ckpt_config, archive_dir=tmp_path / "plain")
+    crash_dir = tmp_path / "rebuild"
+    add_file = ProductArchive.add_file
+    calls = [0]
+
+    def crash_after_three(self, *args, **kwargs):
+        if calls[0] == 3:
+            raise FaultInjected("crash during archive rebuild")
+        calls[0] += 1
+        return add_file(self, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(ProductArchive, "add_file", crash_after_three)
+        with pytest.raises(FaultInjected, match="rebuild"):
+            LocalRunner().run(ckpt_config, archive_dir=crash_dir, checkpoint=True)
+    journal = crash_dir / ProductArchive.JOURNAL
+    assert len(journal.read_text().splitlines()) == 3
+
+    result = LocalRunner().run(ckpt_config, archive_dir=crash_dir, resume=True)
+    assert result.chunks_executed == {"A": 0, "C": 0}
+    assert not journal.exists()
+    assert archive_bytes(tmp_path / "plain") == archive_bytes(crash_dir)
+    assert result.pgd_by_rupture == plain.pgd_by_rupture
 
 
 def test_pooled_crash_resume_matches_sequential(tmp_path, ckpt_config):

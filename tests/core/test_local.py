@@ -45,6 +45,10 @@ def test_archiving(tmp_path, tiny_config):
     assert result.archive_root == archive.root
     # No temp files left behind.
     assert not list(archive.root.glob("_tmp_*"))
+    # The run closed its archive: the manifest is complete, the journal
+    # is gone, and every product matches its recorded digest.
+    assert not (archive.root / ProductArchive.JOURNAL).exists()
+    archive.verify()
 
 
 def test_deterministic_products(tiny_config):

@@ -152,3 +152,15 @@ class TestPartition:
             partition_instance(fdw_like, 5, seed=0)
         with pytest.raises(WfFormatError, match=">= 1"):
             partition_instance(fdw_like, 0)
+
+    def test_partition_avoids_per_task_lookup(self, fdw_like, monkeypatch):
+        """Partitioning reads task categories from one pass over the
+        tasks, not a linear ``WfInstance.task`` scan per task."""
+        expected = [dumps_instance(p) for p in partition_instance(fdw_like, 2, seed=3)]
+
+        def no_lookup(self, name):
+            raise AssertionError(f"per-task lookup of {name!r}")
+
+        monkeypatch.setattr(WfInstance, "task", no_lookup)
+        parts = partition_instance(fdw_like, 2, seed=3)
+        assert [dumps_instance(p) for p in parts] == expected
