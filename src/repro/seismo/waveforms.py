@@ -8,10 +8,13 @@ with overshoot-free ramp" shape of high-rate GNSS records of large
 earthquakes. Optionally, realistic GNSS noise (white + random walk) is
 added, following the noise characterization of Melgar et al. (2020).
 
-The synthesis is vectorized per station over (subfaults x samples), so
-cost scales as O(n_stations * n_patch * n_samples) — the station-count
-scaling the paper's Phase C job runtimes exhibit (15-20 min at 121
-stations vs. <1 min at 2).
+Only the samples inside a patch's rise band take the cosine; the
+saturated remainder of every ramp is a cumulative sum of step weights.
+Per chunk of K ruptures the cost is
+O(n_stations * (n_patch + K * n_samples) + band), where the band holds
+about rise/dt samples per (station, patch) — the station-count scaling
+the paper's Phase C job runtimes exhibit (15-20 min at 121 stations vs.
+<1 min at 2).
 """
 
 from __future__ import annotations
@@ -29,6 +32,12 @@ from repro.seismo.ruptures import Rupture
 __all__ = ["WaveformSet", "WaveformSynthesizer", "GnssNoiseModel"]
 
 COMPONENTS = ("east", "north", "up")
+
+#: Stations per vectorized block of :meth:`WaveformSynthesizer.synthesize_batch`.
+#: On the 121-station, 450-subfault input, 16 ran ~20 % faster than one
+#: station or all 121 at once; all at once also needs ~60 MB more for
+#: the band temporaries.
+_STATION_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -205,26 +214,8 @@ class WaveformSynthesizer:
 
     @property
     def _work_dtype(self) -> np.dtype:
-        """Dtype the synthesis runs in — the bank's own dtype.
-
-        A float32 bank keeps the whole ramp/matmul pipeline in float32
-        (half the memory traffic, sgemm instead of dgemm); float64 banks
-        keep the historical bit-exact pipeline.
-        """
+        """Dtype of the products — the bank's own dtype."""
         return self.gf_bank.statics.dtype
-
-    def _times(self, nt: int) -> np.ndarray:
-        return (np.arange(nt) * self.dt_s).astype(self._work_dtype, copy=False)
-
-    def _source_arrays(
-        self, rupture: Rupture
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(slip, onset, floored rise) cast to the working dtype."""
-        w = self._work_dtype
-        slip = rupture.slip_m.astype(w, copy=False)
-        onset = rupture.onset_time_s.astype(w, copy=False)
-        rise = np.maximum(rupture.rise_time_s, self.dt_s * 0.5).astype(w, copy=False)
-        return slip, onset, rise
 
     def _record_length(self, rupture: Rupture, patch_tt: np.ndarray) -> int:
         if self.duration_s is not None:
@@ -237,51 +228,14 @@ class WaveformSynthesizer:
         rupture: Rupture,
         rng: np.random.Generator | None = None,
     ) -> WaveformSet:
-        """Synthesize the waveform set for one rupture.
+        """Synthesize the waveform set for one rupture (a chunk of one).
 
         Raises
         ------
         WaveformError
-            If the rupture references subfaults outside the GF bank, or
-            noise is configured but no ``rng`` is supplied.
+            As :meth:`synthesize_batch`.
         """
-        patch = rupture.subfault_indices
-        if patch.max() >= self.gf_bank.n_subfaults:
-            raise WaveformError(
-                f"rupture patch index {patch.max()} outside GF bank with "
-                f"{self.gf_bank.n_subfaults} subfaults"
-            )
-        if self.noise is not None and rng is None:
-            raise WaveformError("noise model configured but no rng supplied")
-
-        gf = self.gf_bank.statics[:, patch, :]  # (nsta, npatch, 3) view
-        tt = self.gf_bank.travel_time_s[:, patch]  # (nsta, npatch)
-        nt = self._record_length(rupture, tt)
-
-        times = self._times(nt)
-        n_sta = self.gf_bank.n_stations
-        out = np.empty((n_sta, 3, nt), dtype=self._work_dtype)
-        slip, onset, rise = self._source_arrays(rupture)
-
-        # Per-station vectorized accumulation; (npatch, nt) intermediate
-        # keeps memory bounded for large meshes (see DESIGN.md).
-        for i in range(n_sta):
-            arrival = onset + tt[i]  # (npatch,)
-            x = (times[None, :] - arrival[:, None]) / rise[:, None]
-            ramp = 0.5 * (1.0 - np.cos(np.pi * np.clip(x, 0.0, 1.0)))
-            weighted = gf[i] * slip[:, None]  # (npatch, 3)
-            out[i] = weighted.T @ ramp  # (3, nt)
-
-        if self.noise is not None:
-            out += self.noise.sample(rng, out.shape, self.dt_s)  # type: ignore[arg-type]
-
-        return WaveformSet(
-            rupture_id=rupture.rupture_id,
-            data=out,
-            dt_s=self.dt_s,
-            station_names=self.gf_bank.station_names,
-            metadata={"target_mw": rupture.target_mw},
-        )
+        return self.synthesize_batch([rupture], [rng])[0]
 
     def synthesize_batch(
         self,
@@ -290,16 +244,26 @@ class WaveformSynthesizer:
         | np.random.Generator
         | None = None,
     ) -> list[WaveformSet]:
-        """Batched Phase-C kernel: one call synthesizes a whole chunk.
+        """Phase-C kernel: one call synthesizes a whole chunk.
 
-        All ruptures' patches are concatenated along one axis so the
-        expensive slip-ramp evaluation runs as stacked array kernels
-        over the whole chunk instead of a Python loop per rupture —
-        per-station cost drops from ``n_ruptures`` small vector-op
-        rounds to one. Products are **bit-identical** to calling
-        :meth:`synthesize` per rupture (the per-rupture matmul operands
-        are reconstructed with the exact values and memory layout of
-        the scalar path).
+        A patch's ramp is 0 up to its arrival ``a = onset + travel_time``
+        and exactly 1 from the first sample at or after ``a + rise``, so
+        each record is a step part plus a band part:
+
+        * **step** — every slip-weighted static ``w = gf * slip`` is
+          scattered (``np.bincount``) at its patch's saturation sample
+          ``ceil((a + rise) / dt)`` and a cumulative sum over time turns
+          the scatter into the sum of saturated patches;
+        * **band** — only the few samples with ``a < t < a + rise`` take
+          the cosine, ``w * 0.5 * (1 - cos(pi * (t - a) / rise))``,
+          scattered into the same bins by a second ``bincount``.
+
+        Both run vectorized over a block of stations and every rupture
+        of the chunk. Each (station, rupture) owns a disjoint run of
+        bins and the cumulative sum runs per row, so a rupture's
+        products depend only on that rupture — not on the chunk it
+        lands in or its position there. Sums accumulate in float64 and
+        each record is cast back to the bank dtype.
 
         Parameters
         ----------
@@ -309,6 +273,13 @@ class WaveformSynthesizer:
             :meth:`synthesize` loop), or one generator per rupture
             (the chunk-job mode where each rupture owns a keyed noise
             stream).
+
+        Raises
+        ------
+        WaveformError
+            If a rupture references subfaults outside the GF bank, the
+            ``rngs`` list does not match the ruptures, or noise is
+            configured but a rupture has no generator.
         """
         if not ruptures:
             return []
@@ -320,93 +291,87 @@ class WaveformSynthesizer:
                 raise WaveformError(
                     f"got {len(rng_list)} rngs for {len(ruptures)} ruptures"
                 )
-
         bank = self.gf_bank
         for rupture in ruptures:
-            if rupture.subfault_indices.max() >= bank.n_subfaults:
+            patch = rupture.subfault_indices
+            if patch.min() < 0 or patch.max() >= bank.n_subfaults:
                 raise WaveformError(
-                    f"rupture patch index {rupture.subfault_indices.max()} "
-                    f"outside GF bank with {bank.n_subfaults} subfaults"
+                    f"rupture {rupture.rupture_id} patch indices "
+                    f"[{patch.min()}, {patch.max()}] outside GF bank with "
+                    f"{bank.n_subfaults} subfaults"
                 )
         if self.noise is not None and any(r is None for r in rng_list):
             raise WaveformError("noise model configured but no rng supplied")
 
-        # Concatenate every rupture's patch into one axis; `segments`
-        # holds each rupture's [start, end) slice of that axis.
+        # The chunk's patches along one axis; `owner` is each patch's
+        # rupture, `rec_len` its rupture's record length.
+        n_rup = len(ruptures)
         counts = [r.n_subfaults for r in ruptures]
-        offsets = np.concatenate([[0], np.cumsum(counts)])
-        segments = [
-            (int(offsets[k]), int(offsets[k + 1])) for k in range(len(ruptures))
-        ]
-        patch_all = np.concatenate([r.subfault_indices for r in ruptures])
-        work = self._work_dtype
-        sources = [self._source_arrays(r) for r in ruptures]
-        slip_all = np.concatenate([s for s, _, _ in sources])
-        onsets = [o for _, o, _ in sources]
-        rises = [r for _, _, r in sources]
-
-        gf_all = bank.statics[:, patch_all, :]  # (nsta, sum_npatch, 3)
-        tt_all = bank.travel_time_s[:, patch_all]  # (nsta, sum_npatch)
-        nts = [
-            self._record_length(rupture, tt_all[:, s:e])
-            for rupture, (s, e) in zip(ruptures, segments)
-        ]
-        times = self._times(max(nts))
-
-        # Records are ragged (each rupture sizes its own nt), so the
-        # chunk's (patch x time) planes are packed back-to-back into one
-        # flat buffer: no padding, and each rupture's plane is a
-        # C-contiguous (npatch, nt) view — the exact matmul operand the
-        # scalar path builds, which is what keeps products bit-identical.
-        plane_sizes = [c * nt for c, nt in zip(counts, nts)]
-        plane_offsets = np.concatenate([[0], np.cumsum(plane_sizes)])
-        buf = np.empty(int(plane_offsets[-1]), dtype=work)
-        planes = [
-            buf[int(plane_offsets[k]) : int(plane_offsets[k + 1])].reshape(
-                counts[k], nts[k]
-            )
-            for k in range(len(ruptures))
-        ]
-
-        # The ramp transform t(x) = 0.5*(1 - cos(pi*x)) fixes the
-        # clipped plateaus exactly (cos(0) == 1 and cos(pi) == -1 in
-        # IEEE arithmetic — checked in the *working* dtype, since a
-        # float32 bank runs the whole chain in float32), so after
-        # clipping only the narrow rise band 0 < x < 1 — typically a few
-        # percent of the plane — needs the transcendental evaluation.
-        # Guard the fixed points anyway so an exotic libm falls back to
-        # transforming everything.
-        w_ = work.type
-        plateaus_exact = (
-            w_(0.5) * (w_(1.0) - np.cos(w_(np.pi) * w_(0.0))) == w_(0.0)
-            and w_(0.5) * (w_(1.0) - np.cos(w_(np.pi) * w_(1.0))) == w_(1.0)
+        owner = np.repeat(np.arange(n_rup), counts)
+        patch = np.concatenate([r.subfault_indices for r in ruptures])
+        slip = np.concatenate([r.slip_m for r in ruptures]).astype(
+            self._work_dtype, copy=False
         )
+        onset = np.concatenate([r.onset_time_s for r in ruptures])
+        rise = np.maximum(
+            np.concatenate([r.rise_time_s for r in ruptures]), self.dt_s * 0.5
+        )
+        tt_all = bank.travel_time_s[:, patch]
+        bounds = np.cumsum([0] + counts)
+        nts = [
+            self._record_length(r, tt_all[:, bounds[k] : bounds[k + 1]])
+            for k, r in enumerate(ruptures)
+        ]
+        rec_len = np.array(nts)[owner]
+        # Bins are (component, station, rupture) rows of a record plus
+        # one overflow bin that catches weights past the record's end.
+        row_len = max(nts) + 1
 
         n_sta = bank.n_stations
-        outs = [np.empty((n_sta, 3, nt), dtype=work) for nt in nts]
-        for i in range(n_sta):
-            for k, (s, e) in enumerate(segments):
-                arrival = onsets[k] + tt_all[i, s:e]  # (npatch,)
-                np.subtract(times[None, : nts[k]], arrival[:, None], out=planes[k])
-                planes[k] /= rises[k][:, None]
-            # The ramp passes run once over the whole chunk — stacked
-            # kernels instead of a Python loop of per-rupture rounds —
-            # and the cos chain touches only the unsaturated band.
-            np.clip(buf, 0.0, 1.0, out=buf)
-            if plateaus_exact:
-                band = np.flatnonzero((buf > 0.0) & (buf < 1.0))
-                vals = buf[band]
-            else:  # pragma: no cover - non-IEEE libm fallback
-                band = slice(None)
-                vals = buf.copy()
-            np.multiply(np.pi, vals, out=vals)
-            np.cos(vals, out=vals)
-            np.subtract(1.0, vals, out=vals)
-            np.multiply(0.5, vals, out=vals)
-            buf[band] = vals
-            weighted_all = gf_all[i] * slip_all[:, None]
-            for k, (s, e) in enumerate(segments):
-                outs[k][i] = weighted_all[s:e].T @ planes[k]
+        outs = [np.empty((n_sta, 3, nt), dtype=self._work_dtype) for nt in nts]
+        for b0 in range(0, n_sta, _STATION_BLOCK):
+            blk = slice(b0, min(b0 + _STATION_BLOCK, n_sta))
+            arrival = onset + tt_all[blk]  # (B, P), float64
+            gf = np.moveaxis(bank.statics[blk, patch, :], 2, 0)
+            weight = (gf * slip).reshape(3, -1)  # (3, B * P)
+            n_blk = arrival.shape[0]
+            n_bins = n_blk * n_rup * row_len
+            sat = np.minimum(np.ceil((arrival + rise) / self.dt_s), rec_len)
+            sat = sat.astype(np.intp)
+            first = np.minimum(np.floor(arrival / self.dt_s) + 1, rec_len)
+            first = first.astype(np.intp)
+            row_start = (np.arange(n_blk)[:, None] * n_rup + owner) * row_len
+
+            step_bins = (row_start + sat).ravel()
+            acc = np.stack(
+                [np.bincount(step_bins, weight[c], n_bins) for c in range(3)]
+            ).reshape(3, -1, row_len)
+            np.cumsum(acc, axis=2, out=acc)
+
+            # Band samples first..sat-1 of every (station, patch), flat;
+            # `src` is the flat (station, patch) each sample belongs to.
+            # Their (t - a) / rise lies in (0, 1) up to rounding, where
+            # the ramp is flat, so no clip is needed.
+            width = (sat - first).ravel()
+            src = np.repeat(np.arange(width.size), width)
+            t = np.arange(src.size) + np.repeat(
+                first.ravel() - (np.cumsum(width) - width), width
+            )
+            ramp = t * self.dt_s
+            ramp -= arrival.ravel()[src]
+            ramp /= np.broadcast_to(rise, arrival.shape).ravel()[src]
+            ramp *= np.pi
+            np.cos(ramp, out=ramp)
+            np.subtract(1.0, ramp, out=ramp)
+            ramp *= 0.5
+            band_bins = row_start.ravel()[src] + t
+            for c in range(3):  # one component at a time bounds the temporaries
+                band = np.bincount(band_bins, weight[c][src] * ramp, n_bins)
+                acc[c] += band.reshape(-1, row_len)
+
+            acc = acc.reshape(3, n_blk, n_rup, row_len)
+            for k, out in enumerate(outs):
+                out[blk] = acc[:, :, k, : nts[k]].transpose(1, 0, 2)
 
         return self._assemble(ruptures, outs, rng_list)
 
@@ -418,9 +383,8 @@ class WaveformSynthesizer:
     ) -> list[WaveformSet]:
         """Add per-rupture noise and wrap the raw arrays as WaveformSets.
 
-        The noise draw is float64; casting the sum back to the working
-        dtype reproduces the scalar path's in-place ``+=`` (which rounds
-        each float64 sum into the float32 output buffer).
+        The noise draw is float64; the sum is cast back to the bank
+        dtype, so a float32 bank still yields float32 products.
         """
         work = self._work_dtype
         sets: list[WaveformSet] = []

@@ -1,12 +1,36 @@
 """Tests for repro.seismo.waveforms."""
 
+import dataclasses
 import zipfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.seismo.waveforms as waveforms_mod
 from repro.errors import WaveformError
+from repro.seismo.greens import GreensFunctionBank
+from repro.seismo.ruptures import Rupture
 from repro.seismo.waveforms import GnssNoiseModel, WaveformSet, WaveformSynthesizer
+from tests.oracles.synthesis import ReferenceWaveformSynthesizer
+
+#: Float64 error budget against the matmul oracle, relative to each
+#: set's max |displacement| and to its peak PGD (measured ~3e-15).
+F64_BUDGET = 1e-12
+
+
+def assert_within_budget(sets, reference):
+    """Max |data - ref| and max |PGD - ref PGD| within :data:`F64_BUDGET`
+    of the reference set's max |data| and max PGD (exact where 0)."""
+    assert len(sets) == len(reference)
+    for ws, ref in zip(sets, reference):
+        assert ws.rupture_id == ref.rupture_id
+        assert ws.data.shape == ref.data.shape
+        data_dev = np.max(np.abs(ws.data - ref.data))
+        assert data_dev <= F64_BUDGET * np.max(np.abs(ref.data))
+        pgd_dev = np.max(np.abs(ws.pgd_m() - ref.pgd_m()))
+        assert pgd_dev <= F64_BUDGET * np.max(ref.pgd_m())
 
 
 @pytest.fixture(scope="module")
@@ -90,8 +114,6 @@ def test_noise_model_validation():
 
 
 def test_rejects_rupture_outside_bank(small_gf_bank, sample_rupture):
-    import dataclasses
-
     bad = dataclasses.replace(
         sample_rupture,
         subfault_indices=sample_rupture.subfault_indices + 10**6,
@@ -99,6 +121,18 @@ def test_rejects_rupture_outside_bank(small_gf_bank, sample_rupture):
     synth = WaveformSynthesizer(small_gf_bank)
     with pytest.raises(WaveformError):
         synth.synthesize(bad)
+
+
+def test_rejects_negative_subfault_index(small_gf_bank, sample_rupture):
+    # A negative index would silently wrap to the bank's last subfaults.
+    indices = sample_rupture.subfault_indices.copy()
+    indices[0] = -1
+    bad = dataclasses.replace(sample_rupture, subfault_indices=indices)
+    synth = WaveformSynthesizer(small_gf_bank)
+    with pytest.raises(WaveformError, match="-1"):
+        synth.synthesize(bad)
+    with pytest.raises(WaveformError, match="-1"):
+        synth.synthesize_batch([sample_rupture, bad])
 
 
 def test_save_load_roundtrip(tmp_path, clean_set):
@@ -177,6 +211,101 @@ def test_batch_bit_identical_to_scalar(small_gf_bank, rupture_batch):
         assert ws.rupture_id == reference.rupture_id
         assert ws.data.shape == reference.data.shape
         assert np.array_equal(ws.data, reference.data)
+
+
+def test_batch_within_budget_of_matmul_oracle(small_gf_bank, rupture_batch):
+    synth = WaveformSynthesizer(small_gf_bank)
+    oracle = ReferenceWaveformSynthesizer(small_gf_bank)
+    for chunk in (rupture_batch[:2], rupture_batch[2:]):
+        assert_within_budget(
+            synth.synthesize_batch(chunk), oracle.synthesize_batch(chunk)
+        )
+
+
+def test_rupture_products_independent_of_chunk(small_gf_bank, rupture_batch):
+    synth = WaveformSynthesizer(small_gf_bank)
+    target = rupture_batch[2]
+    alone = synth.synthesize_batch([target])[0]
+    inside = synth.synthesize_batch(rupture_batch)[2]
+    reversed_chunk = synth.synthesize_batch(rupture_batch[::-1])[2]
+    assert inside.rupture_id == reversed_chunk.rupture_id == target.rupture_id
+    assert np.array_equal(alone.data, inside.data)
+    assert np.array_equal(alone.data, reversed_chunk.data)
+
+
+@pytest.mark.parametrize("block", [1, 3, 5])
+def test_station_block_size_does_not_change_products(
+    small_gf_bank, rupture_batch, monkeypatch, block
+):
+    synth = WaveformSynthesizer(small_gf_bank)
+    whole = synth.synthesize_batch(rupture_batch)
+    monkeypatch.setattr(waveforms_mod, "_STATION_BLOCK", block)
+    for ws, ref in zip(synth.synthesize_batch(rupture_batch), whole):
+        assert np.array_equal(ws.data, ref.data)
+
+
+@st.composite
+def edge_chunks(draw):
+    """A random bank and chunk at the kernel's index edges: coarse and
+    fine sampling, arrivals on the sample grid, rise times under the
+    dt/2 floor, single-subfault ruptures, single-station banks and
+    records cut mid-ramp or before any arrival."""
+    dt = draw(st.sampled_from([0.2, 0.5, 1.0, 2.0]))
+    n_sta = draw(st.integers(1, 3))
+    n_sub = draw(st.integers(1, 6))
+    n_rup = draw(st.integers(1, 3))
+    on_grid = draw(st.booleans())
+    cut = draw(st.sampled_from([None, 0.02, 0.3, 0.7, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if on_grid:
+        tt = dt * rng.integers(1, 40, (n_sta, n_sub)).astype(float)
+    else:
+        tt = rng.uniform(0.1, 80.0, (n_sta, n_sub))
+    # One sign per (station, component): no cancellation between patches.
+    sign = rng.choice([-1.0, 1.0], (n_sta, 1, 3))
+    bank = GreensFunctionBank(
+        statics=sign * rng.uniform(0.01, 1.0, (n_sta, n_sub, 3)),
+        travel_time_s=tt,
+        station_names=tuple(f"S{i:03d}" for i in range(n_sta)),
+        fault_name="edge",
+    )
+    ruptures = []
+    for k in range(n_rup):
+        n = int(rng.integers(1, n_sub + 1))
+        onset = rng.integers(0, 20, n) * dt if on_grid else rng.uniform(0, 40, n)
+        ruptures.append(
+            Rupture(
+                rupture_id=f"edge.{k}",
+                target_mw=8.0,
+                actual_mw=8.0,
+                subfault_indices=rng.choice(n_sub, n, replace=False),
+                slip_m=rng.uniform(0.1, 20.0, n),
+                rise_time_s=rng.uniform(0.0, 6.0 * dt, n),
+                onset_time_s=onset,
+                hypocenter_index=0,
+            )
+        )
+    duration = None
+    if cut is not None:
+        latest = max(
+            float(np.max(r.onset_time_s + tt[:, r.subfault_indices]))
+            for r in ruptures
+        )
+        duration = max(dt, cut * latest)
+    return bank, ruptures, dt, duration
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_chunks())
+def test_property_within_budget_of_oracle_at_edges(case):
+    bank, ruptures, dt, duration = case
+    got = WaveformSynthesizer(bank, dt_s=dt, duration_s=duration).synthesize_batch(
+        ruptures
+    )
+    want = ReferenceWaveformSynthesizer(
+        bank, dt_s=dt, duration_s=duration
+    ).synthesize_batch(ruptures)
+    assert_within_budget(got, want)
 
 
 def test_batch_with_shared_rng_matches_sequential_noise(small_gf_bank, rupture_batch):
