@@ -2,8 +2,9 @@
 
 A :class:`DagDescription` is the static workflow structure DAGMan
 executes: named nodes, each bound to a :class:`~repro.condor.jobs.JobSpec`,
-plus PARENT/CHILD edges. The structure is backed by a
-:class:`networkx.DiGraph` for cycle detection and traversal.
+plus PARENT/CHILD edges, kept as insertion-ordered parent and child
+maps. :func:`topological_order` is the Kahn pass shared with
+:class:`~repro.wf.schema.WfInstance`.
 
 ``.dag`` file round-tripping follows HTCondor's syntax::
 
@@ -14,16 +15,38 @@ plus PARENT/CHILD edges. The structure is backed by a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from collections.abc import Iterable, Mapping
+from dataclasses import dataclass, replace
 from pathlib import Path
-
-import networkx as nx
 
 from repro.errors import DagError
 from repro.condor.jobs import JobSpec
 from repro.condor.submit import SubmitDescription
 
-__all__ = ["DagNode", "DagDescription", "ScriptSpec"]
+__all__ = ["DagNode", "DagDescription", "ScriptSpec", "topological_order"]
+
+_WHITESPACE = re.compile(r"\s")
+
+
+def topological_order(children: Mapping[str, Iterable[str]]) -> list[str]:
+    """Kahn's algorithm over a node -> children mapping (every node a key).
+
+    Roots come in key order and released nodes join a FIFO, so the order
+    is breadth-first by generation. On a cycle it stops short, and the
+    caller raises its own typed error.
+    """
+    in_deg = dict.fromkeys(children, 0)
+    for kids in children.values():
+        for child in kids:
+            in_deg[child] += 1
+    order = [name for name, deg in in_deg.items() if deg == 0]
+    for name in order:  # appending while iterating makes ``order`` the queue
+        for child in children[name]:
+            in_deg[child] -= 1
+            if in_deg[child] == 0:
+                order.append(child)
+    return order
 
 
 @dataclass(frozen=True)
@@ -73,7 +96,7 @@ class DagNode:
     post_script: ScriptSpec | None = None
 
     def __post_init__(self) -> None:
-        if not self.name or any(c.isspace() for c in self.name):
+        if not self.name or _WHITESPACE.search(self.name):
             raise DagError(f"bad node name {self.name!r}")
         if self.retries < 0:
             raise DagError(f"{self.name}: retries must be >= 0")
@@ -84,8 +107,10 @@ class DagDescription:
 
     def __init__(self, name: str = "dag") -> None:
         self.name = name
-        self._graph = nx.DiGraph()
         self._nodes: dict[str, DagNode] = {}
+        # Ordered sets (dict keys): insertion order is the .dag PARENT order.
+        self._parents: dict[str, dict[str, None]] = {}
+        self._children: dict[str, dict[str, None]] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -94,7 +119,8 @@ class DagDescription:
         if node.name in self._nodes:
             raise DagError(f"duplicate DAG node {node.name!r}")
         self._nodes[node.name] = node
-        self._graph.add_node(node.name)
+        self._parents[node.name] = {}
+        self._children[node.name] = {}
 
     def add_job(self, name: str, spec: JobSpec, retries: int = 0) -> DagNode:
         """Convenience: build and add a node in one step."""
@@ -110,43 +136,25 @@ class DagDescription:
         """
         node = self.node(name)
         when = when.upper()
-        if when == "PRE":
-            updated = DagNode(
-                name=node.name,
-                spec=node.spec,
-                retries=node.retries,
-                pre_script=script,
-                post_script=node.post_script,
-            )
-        elif when == "POST":
-            updated = DagNode(
-                name=node.name,
-                spec=node.spec,
-                retries=node.retries,
-                pre_script=node.pre_script,
-                post_script=script,
-            )
-        else:
+        if when not in ("PRE", "POST"):
             raise DagError(f"script kind must be PRE or POST, got {when!r}")
+        updated = replace(node, **{f"{when.lower()}_script": script})
         self._nodes[name] = updated
         return updated
 
-    def add_edge(self, parent: str, child: str, check: bool = False) -> None:
+    def add_edge(self, parent: str, child: str) -> None:
         """Declare ``parent`` must complete before ``child`` starts.
 
-        Cycle detection per edge is O(V+E), so it is opt-in via
-        ``check=True``; :meth:`validate` always performs one full
-        acyclicity check before a DAG is executed.
+        A repeated edge is stored once. Cycles are not checked per edge;
+        :meth:`validate` checks the whole DAG before it is executed.
         """
         for name in (parent, child):
             if name not in self._nodes:
                 raise DagError(f"unknown DAG node {name!r}")
         if parent == child:
             raise DagError(f"self-edge on {parent!r}")
-        self._graph.add_edge(parent, child)
-        if check and not nx.is_directed_acyclic_graph(self._graph):
-            self._graph.remove_edge(parent, child)
-            raise DagError(f"edge {parent!r} -> {child!r} would create a cycle")
+        self._children[parent][child] = None
+        self._parents[child][parent] = None
 
     def add_edges(self, parents: list[str], children: list[str]) -> None:
         """All-to-all PARENT..CHILD edges (HTCondor's multi-name form)."""
@@ -177,39 +185,37 @@ class DagDescription:
     def parents(self, name: str) -> list[str]:
         """Direct parents of a node."""
         self.node(name)
-        return sorted(self._graph.predecessors(name))
+        return sorted(self._parents[name])
 
     def children(self, name: str) -> list[str]:
         """Direct children of a node."""
         self.node(name)
-        return sorted(self._graph.successors(name))
+        return sorted(self._children[name])
 
     def roots(self) -> list[str]:
         """Nodes with no parents (initially ready)."""
-        return [n for n in self._nodes if self._graph.in_degree(n) == 0]
+        return [n for n, parents in self._parents.items() if not parents]
 
     def topological_order(self) -> list[str]:
-        """A topological ordering of node names.
+        """A topological ordering of node names (breadth-first by generation).
 
         Raises
         ------
         DagError
-            If the DAG contains a cycle (instead of leaking networkx's
-            ``NetworkXUnfeasible``).
+            If the DAG contains a cycle.
         """
-        try:
-            return list(nx.topological_sort(self._graph))
-        except nx.NetworkXUnfeasible:
+        order = topological_order(self._children)
+        if len(order) != len(self._nodes):
             raise DagError(
                 f"DAG {self.name!r} contains a cycle; no topological order exists"
-            ) from None
+            )
+        return order
 
     def validate(self) -> None:
         """Raise :class:`DagError` if the DAG is empty or cyclic."""
         if not self._nodes:
             raise DagError(f"DAG {self.name!r} has no nodes")
-        if not nx.is_directed_acyclic_graph(self._graph):
-            raise DagError(f"DAG {self.name!r} contains a cycle")
+        self.topological_order()
 
     # -- .dag file round-trip ---------------------------------------------------
 
@@ -228,8 +234,9 @@ class DagDescription:
             for when, script in (("PRE", node.pre_script), ("POST", node.post_script)):
                 if script is not None:
                     lines.append(f"SCRIPT {when} {node.name} {script.command}")
-        for parent, child in self._graph.edges:
-            lines.append(f"PARENT {parent} CHILD {child}")
+        for parent, children in self._children.items():
+            for child in children:
+                lines.append(f"PARENT {parent} CHILD {child}")
         dag_path = directory / f"{self.name}.dag"
         dag_path.write_text("\n".join(lines) + "\n")
         return dag_path
@@ -274,14 +281,7 @@ class DagDescription:
         for parents, children in edges:
             dag.add_edges(parents, children)
         for name, count in retries.items():
-            node = dag.node(name)
-            dag._nodes[name] = DagNode(
-                name=node.name,
-                spec=node.spec,
-                retries=count,
-                pre_script=node.pre_script,
-                post_script=node.post_script,
-            )
+            dag._nodes[name] = replace(dag.node(name), retries=count)
         for name, when, command in scripts:
             dag.set_script(name, when, ScriptSpec(command=command))
         dag.validate()

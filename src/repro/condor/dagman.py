@@ -84,7 +84,7 @@ class DagmanEngine:
         self._ready_fifo: deque[str] = deque()
         self._n_done = 0
         self._n_failed = 0
-        for name in dag.topological_order():
+        for name in dag.node_names:
             n_parents = len(dag.parents(name))
             self._remaining_parents[name] = n_parents
             self._retries_left[name] = dag.node(name).retries

@@ -153,16 +153,16 @@ def generate_instance(
         children = gen_tasks[wtype]
         for ptype in parent_types:
             pgroup = groups[ptype]
-            in_degrees = [
+            fan_ins = [
                 sum(1 for p in task.parents if type_of[p] == ptype) for task in group
             ]
-            all_to_all = all(d == len(pgroup) for d in in_degrees)
+            all_to_all = all(d == len(pgroup) for d in fan_ins)
             parents = gen_tasks[ptype]
             for child in children:
                 if all_to_all:
                     chosen = range(len(parents))
                 else:
-                    d = int(in_degrees[int(rng.integers(len(in_degrees)))])
+                    d = int(fan_ins[int(rng.integers(len(fan_ins)))])
                     d = min(d, len(parents))
                     chosen = sorted(
                         int(k) for k in rng.choice(len(parents), size=d, replace=False)

@@ -77,10 +77,8 @@ def import_instance(source: WfInstance | str | Path) -> ImportedWorkflow:
     Raises
     ------
     WfFormatError
-        On a malformed document (via :func:`repro.wf.schema.load_instance`).
-    DagError
-        If the edge structure is not a DAG (defence in depth; the
-        schema already rejects cycles).
+        On a malformed or cyclic document (the DAG is not re-validated;
+        :class:`~repro.condor.dagman.DagmanEngine` validates what it runs).
     """
     instance = (
         source if isinstance(source, WfInstance) else load_instance(source)
@@ -106,7 +104,6 @@ def import_instance(source: WfInstance | str | Path) -> ImportedWorkflow:
     for task in instance.tasks:
         for parent in sorted(task.parents):
             dag.add_edge(parent, task.name)
-    dag.validate()
     return ImportedWorkflow(
         instance=instance, dag=dag, runtimes=runtimes, files_mb=files_mb
     )

@@ -50,7 +50,7 @@ from repro.osg.metrics import PoolMetrics
 from repro.osg.pool import OSPoolConfig, OSPoolSimulator
 from repro.wf.generate import partition_instance
 from repro.wf.importer import ImportedWorkflow, import_instance
-from repro.wf.schema import WfInstance
+from repro.wf.schema import WfInstance, load_instance
 
 __all__ = [
     "TraceRuntimeModel",
@@ -201,15 +201,12 @@ def _resolve_workflows(
     n_dagmans: int,
     seed: int,
 ) -> tuple[WfInstance, list[ImportedWorkflow]]:
+    """The source instance and an import of each DAG to replay."""
     if isinstance(source, ImportedWorkflow):
-        instance = source.instance
         if n_dagmans == 1:
-            return instance, [source]
-    else:
-        imported = import_instance(source)
-        instance = imported.instance
-        if n_dagmans == 1:
-            return instance, [imported]
+            return source.instance, [source]
+        source = source.instance
+    instance = source if isinstance(source, WfInstance) else load_instance(source)
     parts = partition_instance(instance, n_dagmans, seed)
     return instance, [import_instance(part) for part in parts]
 
@@ -301,9 +298,7 @@ def replay_study(
     """
     if not counts:
         raise WfFormatError("counts must not be empty")
-    instance = (
-        source if isinstance(source, WfInstance) else import_instance(source).instance
-    )
+    instance = source if isinstance(source, WfInstance) else load_instance(source)
     return {
         k: replay_instance(
             instance,

@@ -47,9 +47,11 @@ round trip bit-identical.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.condor.dagfile import topological_order
 from repro.errors import WfFormatError
 
 __all__ = [
@@ -69,6 +71,7 @@ __all__ = [
 SCHEMA_VERSION = "1.4"
 
 _LINKS = ("input", "output")
+_WHITESPACE = re.compile(r"\s")
 
 
 @dataclass(frozen=True)
@@ -147,7 +150,7 @@ class WfTask:
     payload: WfPayload | None = None
 
     def __post_init__(self) -> None:
-        if not self.name or any(c.isspace() for c in self.name):
+        if not self.name or _WHITESPACE.search(self.name):
             raise WfFormatError(f"bad task name {self.name!r}")
         if not self.category:
             raise WfFormatError(f"task {self.name!r}: category must be non-empty")
@@ -217,20 +220,10 @@ class WfInstance:
         self._check_acyclic()
 
     def _check_acyclic(self) -> None:
-        """Kahn's algorithm; raises on a cycle (schema-level, no networkx)."""
-        in_deg = {t.name: len(t.parents) for t in self.tasks}
-        queue = [n for n, d in in_deg.items() if d == 0]
-        seen = 0
-        by_name = {t.name: t for t in self.tasks}
-        while queue:
-            name = queue.pop()
-            seen += 1
-            for child in by_name[name].children:
-                in_deg[child] -= 1
-                if in_deg[child] == 0:
-                    queue.append(child)
-        if seen != len(self.tasks):
-            stuck = sorted(n for n, d in in_deg.items() if d > 0)
+        """Raise :class:`WfFormatError` if the edges contain a cycle."""
+        order = topological_order({t.name: t.children for t in self.tasks})
+        if len(order) != len(self.tasks):
+            stuck = sorted({t.name for t in self.tasks}.difference(order))
             raise WfFormatError(
                 f"instance {self.name!r} contains a cycle (involving {stuck[:5]})"
             )
@@ -261,17 +254,8 @@ class WfInstance:
         """Longest-path depth of every task (roots are level 0)."""
         by_name = {t.name: t for t in self.tasks}
         level: dict[str, int] = {}
-        in_deg = {t.name: len(t.parents) for t in self.tasks}
-        queue = [n for n, d in in_deg.items() if d == 0]
-        for name in queue:
-            level[name] = 0
-        while queue:
-            name = queue.pop()
-            for child in by_name[name].children:
-                level[child] = max(level.get(child, 0), level[name] + 1)
-                in_deg[child] -= 1
-                if in_deg[child] == 0:
-                    queue.append(child)
+        for name in topological_order({t.name: t.children for t in self.tasks}):
+            level[name] = max((level[p] + 1 for p in by_name[name].parents), default=0)
         return level
 
 

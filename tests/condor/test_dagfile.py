@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.condor.dagfile import DagDescription, DagNode
+from repro.condor.dagfile import DagDescription, DagNode, topological_order
+from repro.condor.dagman import DagmanEngine
 from repro.condor.jobs import JobPayload, JobSpec
 from repro.errors import DagError
 
@@ -59,14 +60,16 @@ def test_self_edge_rejected():
 
 
 def test_cycle_detected_with_check():
+    # add_edge never checks for cycles; validate() is the one check.
     dag = DagDescription()
     dag.add_job("a", spec("a"))
     dag.add_job("b", spec("b"))
     dag.add_edge("a", "b")
-    with pytest.raises(DagError):
-        dag.add_edge("b", "a", check=True)
-    # The offending edge was rolled back.
     dag.validate()
+    dag.add_edge("b", "a")  # the back edge is stored, not rejected
+    assert dag.children("b") == ["a"]
+    with pytest.raises(DagError, match="cycle"):
+        dag.validate()
 
 
 def test_cycle_detected_by_validate():
@@ -172,3 +175,81 @@ def test_topological_order_on_cycle_raises_dag_error():
     dag.add_edge("c", "a")  # no per-edge check: the cycle lands silently
     with pytest.raises(DagError, match="cycle"):
         dag.topological_order()
+
+
+def _run_to_completion(dag):
+    engine = DagmanEngine(dag)
+    while not engine.is_complete:
+        batch = engine.pull_submissions(0)
+        assert batch, "engine stalled"
+        for name in batch:
+            engine.on_node_result(name, True)
+    return engine
+
+
+def test_repeated_add_edge_is_one_edge(tmp_path):
+    dag = DagDescription("twice")
+    for n in ("a", "b"):
+        dag.add_job(n, spec(n))
+    dag.add_edge("a", "b")
+    dag.add_edge("a", "b")
+    assert dag.parents("b") == ["a"]
+    assert dag.children("a") == ["b"]
+    assert dag.write(tmp_path).read_text().count("PARENT a CHILD b") == 1
+    assert _run_to_completion(dag).is_complete
+
+
+def test_repeated_parent_line_is_one_edge(tmp_path):
+    for n in ("a", "b"):
+        (tmp_path / f"{n}.sub").write_text("executable = x\nqueue\n")
+    path = tmp_path / "twice.dag"
+    path.write_text(
+        "JOB a a.sub\nJOB b b.sub\nPARENT a CHILD b\nPARENT a CHILD b\n"
+    )
+    dag = DagDescription.read(path)
+    assert dag.parents("b") == ["a"]
+    assert dag.children("a") == ["b"]
+    out = dag.write(tmp_path / "out").read_text()
+    assert out.count("PARENT a CHILD b") == 1
+    assert _run_to_completion(dag).is_complete
+
+
+def test_parent_lines_follow_edge_insertion_order(tmp_path):
+    # Nodes in insertion order, then each node's children in the order
+    # their edges were added -- not sorted.
+    dag = DagDescription("order")
+    for n in ("r", "z", "m", "a"):
+        dag.add_job(n, spec(n))
+    dag.add_edge("z", "a")
+    dag.add_edge("r", "z")
+    dag.add_edge("r", "m")
+    dag.add_edge("z", "m")
+    parent_lines = [
+        line
+        for line in dag.write(tmp_path).read_text().splitlines()
+        if line.startswith("PARENT")
+    ]
+    assert parent_lines == [
+        "PARENT r CHILD z",
+        "PARENT r CHILD m",
+        "PARENT z CHILD a",
+        "PARENT z CHILD m",
+    ]
+
+
+def test_topological_order_is_breadth_first_by_generation():
+    children = {"d": [], "b": ["d"], "a": ["b", "c"], "c": ["d"], "e": []}
+    assert topological_order(children) == ["a", "e", "b", "c", "d"]
+
+
+def test_topological_order_stops_short_on_a_cycle():
+    children = {"a": ["b"], "b": ["c"], "c": ["b", "d"], "d": [], "e": []}
+    assert topological_order(children) == ["a", "e"]
+
+
+def test_engine_releases_roots_in_insertion_order():
+    dag = DagDescription("roots")
+    for n in ("z", "child", "a", "m"):
+        dag.add_job(n, spec(n))
+    dag.add_edge("a", "child")
+    assert DagmanEngine(dag).pull_submissions(0) == ["z", "a", "m"]

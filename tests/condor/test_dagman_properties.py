@@ -6,6 +6,8 @@ its parents completed, every node must be released exactly once, and
 rescue fast-forwarding must commute with normal execution.
 """
 
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 from repro.condor.dagfile import DagDescription
 from repro.condor.dagman import DagmanEngine, DagmanOptions, NodeStatus
 from repro.condor.jobs import JobPayload, JobSpec
+from repro.errors import DagError
 
 
 @st.composite
@@ -30,6 +33,38 @@ def random_dags(draw):
                 dag.add_edge(f"n{i}", f"n{j}")
     dag.validate()
     return dag
+
+
+def descendants_of(dag: DagDescription, name: str) -> set[str]:
+    """Every node reachable from ``name`` (BFS over ``children``)."""
+    seen: set[str] = set()
+    frontier = deque([name])
+    while frontier:
+        for child in dag.children(frontier.popleft()):
+            if child not in seen:
+                seen.add(child)
+                frontier.append(child)
+    return seen
+
+
+@given(random_dags(), st.data())
+@settings(max_examples=50, deadline=None)
+def test_topological_order_and_back_edges(dag, data):
+    order = dag.topological_order()
+    assert sorted(order) == sorted(dag.node_names)
+    position = {name: i for i, name in enumerate(order)}
+    for parent in dag.node_names:
+        for child in dag.children(parent):
+            assert position[parent] < position[child]
+    pairs = [(a, d) for a in dag.node_names for d in sorted(descendants_of(dag, a))]
+    if not pairs:
+        return
+    ancestor, descendant = data.draw(st.sampled_from(pairs))
+    dag.add_edge(descendant, ancestor)
+    with pytest.raises(DagError, match="cycle"):
+        dag.topological_order()
+    with pytest.raises(DagError, match="cycle"):
+        dag.validate()
 
 
 def drive(engine: DagmanEngine, rng: np.random.Generator) -> list[str]:
@@ -129,9 +164,7 @@ def test_single_failure_without_retries_blocks_descendants(dag, seed):
     engine.on_node_result(victim, False)
     assert engine.has_failed
     # Descendants of the victim can never become READY.
-    import networkx as nx
-
-    descendants = nx.descendants(dag._graph, victim)
+    descendants = descendants_of(dag, victim)
     # Drain everything still runnable.
     in_flight = [n for n in batch if n != victim]
     guard = 0
