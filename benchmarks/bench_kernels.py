@@ -20,7 +20,11 @@ fan-out. ``phase-b-batch`` compares the per-pair ``okada85`` reference
 loop (the oracle in ``tests/oracles/okada.py``) against the vectorized
 Chinnery-corner bank build (bit-identical products) and the opt-in
 float32 bank, whose error budget lands in the
-bench JSON ``extra_info``. ``FDW_BENCH_SCALE`` shrinks the workload for smoke runs; pass
+bench JSON ``extra_info``. ``product-encode`` times the old zlib product
+format against the lossless active-window ``WaveformSet.save`` on one
+seeded 121-station set, checks the bitwise decode and bounds the window
+bytes at 1.25x zlib (no timing is asserted); both encoders' times and
+the byte ratio land in ``extra_info``. ``FDW_BENCH_SCALE`` shrinks the workload for smoke runs; pass
 ``--benchmark-json BENCH_kernels.json`` to persist the numbers (the CI
 smoke job archives that artifact).
 """
@@ -50,7 +54,7 @@ from repro.seismo.okada import compute_okada_gf_bank
 from repro.seismo.ruptures import Rupture, RuptureGenerator
 from repro.seismo.spectra import von_karman_correlation
 from repro.seismo.stations import chilean_network
-from repro.seismo.waveforms import WaveformSynthesizer
+from repro.seismo.waveforms import WaveformSet, WaveformSynthesizer
 from tests.oracles.okada import reference_okada_gf_bank
 from tests.oracles.synthesis import ReferenceWaveformSynthesizer
 
@@ -770,3 +774,65 @@ def test_wf_replay_multi_dagman(benchmark, wf_example_instance):
 
     result = benchmark(replay_instance, wf_example_instance, n_dagmans=2, seed=1)
     assert result.n_dagmans == 2
+
+
+# -- Product encoding: zlib vs lossless active window -------------------------
+
+
+@pytest.fixture(scope="module")
+def product_set(paper_geometry, paper_distances):
+    """One seeded clean waveform set on the full 121-station input."""
+    bank = compute_gf_bank(paper_geometry, chilean_network(121))
+    rupture = RuptureGenerator(paper_geometry, distances=paper_distances).generate(
+        np.random.default_rng(0), "bench.encode", 8.5
+    )
+    return WaveformSynthesizer(bank).synthesize(rupture)
+
+
+def _save_zlib(ws, path):
+    """The product format before the active window: zlib over the record."""
+    np.savez_compressed(
+        path,
+        rupture_id=np.array(ws.rupture_id),
+        data=ws.data,
+        dt_s=np.array(ws.dt_s),
+        station_names=np.array(ws.station_names),
+    )
+
+
+def _best_ms(fn, reps: int = 5) -> float:
+    best = float("inf")
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    return best * 1e3
+
+
+@pytest.mark.benchmark(group="product-encode")
+def test_product_encode_zlib(benchmark, product_set, tmp_path):
+    path = tmp_path / "zlib.npz"
+    benchmark(_save_zlib, product_set, path)
+    benchmark.extra_info["bytes"] = path.stat().st_size
+
+
+@pytest.mark.benchmark(group="product-encode")
+def test_product_encode_window(benchmark, product_set, tmp_path):
+    """``WaveformSet.save``; ``extra_info`` carries both encoders' best
+    time and the byte ratio. Only the bytes are asserted, no timing."""
+    path = benchmark(product_set.save, tmp_path / "window.npz")
+    zlib_path = tmp_path / "zlib.npz"
+    zlib_ms = _best_ms(lambda: _save_zlib(product_set, zlib_path))
+    window_ms = _best_ms(lambda: product_set.save(path))
+    ratio = path.stat().st_size / zlib_path.stat().st_size
+    benchmark.extra_info.update(
+        zlib_ms=zlib_ms,
+        window_ms=window_ms,
+        bytes=path.stat().st_size,
+        zlib_bytes=zlib_path.stat().st_size,
+        bytes_ratio=ratio,
+    )
+    back = WaveformSet.load(path)
+    assert back.data.dtype == product_set.data.dtype
+    assert back.data.tobytes() == product_set.data.tobytes()
+    assert ratio <= 1.25

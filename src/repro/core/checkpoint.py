@@ -23,7 +23,9 @@ quarantined into ``<archive_dir>/_quarantine/`` and the run starts
 fresh; a damaged chunk file is quarantined and its chunk silently
 re-executed (:meth:`RunCheckpoint.try_load_a_chunk` /
 :meth:`~RunCheckpoint.try_load_c_chunk`) — corruption degrades to
-recompute, never a wrong archive.
+recompute, never a wrong archive. A C chunk's rows record the sha256
+of each waveform product, so a damaged product re-executes its chunk
+the same way.
 
 Layout under ``<archive_dir>/_checkpoint/``::
 
@@ -31,7 +33,7 @@ Layout under ``<archive_dir>/_checkpoint/``::
     manifest.json.sha256
     A_00000.pkl         # pickled rupture list of one Phase-A chunk
     A_00000.pkl.sha256
-    C_00000.pkl         # (rupture_id, pgd, mw, filename) rows of one C chunk
+    C_00000.pkl         # (rupture_id, pgd, mw, filename, sha256) rows of one C chunk
     waveforms/<id>.npz  # per-rupture waveform products of done C chunks
 
 The directory is removed by :meth:`RunCheckpoint.finalize` once the
@@ -74,6 +76,12 @@ def config_digest(config: FdwConfig) -> str:
     return hashlib.sha256(repr(config).encode()).hexdigest()
 
 
+def _product_digest(path: Path) -> str | None:
+    """sha256 of a waveform product, or ``None`` if it is not on disk
+    (a row stored that way is checked for presence only)."""
+    return sha256_bytes(path.read_bytes()) if path.exists() else None
+
+
 class RunCheckpoint:
     """Chunk-granular progress manifest for one local run.
 
@@ -94,7 +102,7 @@ class RunCheckpoint:
 
     DIRNAME = "_checkpoint"
     QUARANTINE_DIRNAME = "_quarantine"
-    VERSION = 1
+    VERSION = 2
 
     def __init__(
         self,
@@ -261,12 +269,15 @@ class RunCheckpoint:
         """Persist one Phase-C chunk's rows, then mark it done.
 
         Call only after the chunk's waveform ``.npz`` products are on
-        disk in :attr:`waveforms_dir` (product-before-manifest ordering).
-        Paths in ``rows`` are normalized to bare filenames so the
-        checkpoint stays relocatable.
+        disk in :attr:`waveforms_dir` (product-before-manifest ordering):
+        each row records its product's sha256, which
+        :meth:`load_c_chunk` checks. Paths in ``rows`` are normalized to
+        bare filenames so the checkpoint stays relocatable.
         """
         normalized = [
-            (rid, pgd, mw, Path(path).name if path is not None else None)
+            (rid, pgd, mw, None, None)
+            if path is None
+            else (rid, pgd, mw, Path(path).name, _product_digest(Path(path)))
             for rid, pgd, mw, path in rows
         ]
         self._write_artifact(
@@ -277,18 +288,34 @@ class RunCheckpoint:
         self._flush()
 
     def load_c_chunk(self, index: int) -> list[CRow]:
-        """Reload one completed Phase-C chunk (absolute waveform paths)."""
+        """Reload one completed Phase-C chunk (absolute waveform paths).
+
+        Raises
+        ------
+        CheckpointError
+            If the chunk is not done or a recorded product is missing.
+        IntegrityError
+            If the chunk file or a product fails its sha256 check.
+        """
         if not self.is_done("C", index):
             raise CheckpointError(f"C chunk {index} is not checkpointed")
         rows = self._read_chunk("C", index)
         out: list[CRow] = []
-        for rid, pgd, mw, name in rows:  # type: ignore[union-attr]
-            path = str(self.waveforms_dir / name) if name is not None else None
-            if path is not None and not Path(path).exists():
+        for rid, pgd, mw, name, digest in rows:  # type: ignore[union-attr]
+            if name is None:
+                out.append((rid, pgd, mw, None))
+                continue
+            path = self.waveforms_dir / name
+            if not path.exists():
                 raise CheckpointError(
                     f"C chunk {index}: checkpointed waveform missing: {path}"
                 )
-            out.append((rid, pgd, mw, path))
+            if digest is not None and _product_digest(path) != digest:
+                raise IntegrityError(
+                    f"C chunk {index}: checkpointed waveform {name} does "
+                    "not match its recorded sha256"
+                )
+            out.append((rid, pgd, mw, str(path)))
         return out
 
     def try_load_c_chunk(self, index: int) -> list[CRow] | None:

@@ -96,8 +96,8 @@ class WaveformSet:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.data.ndim != 3 or self.data.shape[1] != 3:
-            raise WaveformError(f"data must be (nsta, 3, nt), got {self.data.shape}")
+        if self.data.ndim != 3 or self.data.shape[1] != 3 or self.data.shape[2] < 1:
+            raise WaveformError(f"data must be (nsta, 3, nt >= 1), got {self.data.shape}")
         if len(self.station_names) != self.data.shape[0]:
             raise WaveformError("station_names length != data stations axis")
         if self.dt_s <= 0:
@@ -140,27 +140,62 @@ class WaveformSet:
     # -- persistence -----------------------------------------------------
 
     def save(self, path: str | Path) -> Path:
-        """Write to compressed ``.npz`` (the per-rupture product file)."""
+        """Write the per-rupture product file, a lossless active window.
+
+        A clean record is exactly 0 before its first arrival and exactly
+        constant once its last patch saturates, so each (station,
+        component) row keeps only its window ``[first, end)``: from its
+        first non-zero sample to one past its last sample that differs
+        from its final value. The uncompressed ``.npz`` holds
+
+        * ``rupture_id``, ``dt_s``, ``n_samples`` and ``station_names``;
+        * ``bounds``, (2, rows) int64: ``first`` and ``end`` per row, rows
+          in (station, component) order;
+        * ``final``, (rows,): each row's last sample;
+        * ``window``: the rows' window samples, concatenated.
+
+        The bounds come from a scan of the record's bit patterns, so the
+        file decodes bit for bit whatever the data (``-0.0`` counts as
+        non-zero); a noisy row simply gets a full-length window.
+        """
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        np.savez_compressed(
+        nt = self.n_samples
+        rows = np.ascontiguousarray(self.data).reshape(3 * self.n_stations, nt)
+        bits = rows.view(f"u{rows.itemsize}")
+        nonzero = bits != 0
+        changed = bits != bits[:, -1:]
+        first = nonzero.argmax(axis=1)  # 0 for an all-zero row
+        # A row's last sample never differs from itself, so end == nt
+        # only where nothing changes: that row is all `final`. first <=
+        # end holds: the samples from end on are `final`, so non-zero
+        # unless `final` is 0, and then sample end - 1 is non-zero.
+        end = nt - changed[:, ::-1].argmax(axis=1)
+        end[end == nt] = 0
+        np.savez(
             path,
             rupture_id=np.array(self.rupture_id),
-            data=self.data,
             dt_s=np.array(self.dt_s),
+            n_samples=np.array(nt),
             station_names=np.array(self.station_names),
+            bounds=np.stack([first, end]).astype(np.int64),
+            final=rows[:, -1],
+            window=rows.ravel()[_window_index(first, end, nt)],
         )
         return path
 
     @classmethod
     def load(cls, path: str | Path) -> "WaveformSet":
-        """Read a set written by :meth:`save`.
+        """Read a set written by :meth:`save`, bit for bit in its dtype.
 
         Raises
         ------
         WaveformError
-            If the file is missing, or is truncated, empty or otherwise
-            not a complete product (the numpy/zip error is chained).
+            If the file is missing, truncated, empty or garbled, lacks a
+            member (as a file from before the active-window format,
+            which has ``data`` and no ``window``, does), or has bounds,
+            window or final values that do not fit its rows. A numpy or
+            zip error is chained as the cause.
         """
         path = Path(path)
         if not path.exists():
@@ -168,16 +203,79 @@ class WaveformSet:
         try:
             # Open the file here: np.load leaks its own handle when the
             # zip container fails to parse.
-            with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
-                fields = dict(
-                    rupture_id=str(data["rupture_id"]),
-                    data=data["data"],
-                    dt_s=float(data["dt_s"]),
-                    station_names=tuple(str(n) for n in data["station_names"]),
-                )
-        except (zipfile.BadZipFile, ValueError, KeyError, EOFError, OSError) as exc:
+            with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
+                m = {name: _read_member(npz.zip, name) for name in _MEMBERS}
+            names = tuple(str(n) for n in m["station_names"])
+            fields = dict(
+                rupture_id=str(m["rupture_id"]),
+                dt_s=float(m["dt_s"]),
+                station_names=names,
+            )
+            nt = int(m["n_samples"])
+        # A damaged container fails in open-ended ways: BadZipFile,
+        # EOFError, ValueError from the .npy header, NotImplementedError
+        # or a zlib error from a garbled compression method, ...
+        except Exception as exc:
             raise WaveformError(f"damaged waveform file {path}: {exc}") from exc
-        return cls(**fields)
+        bounds, final, window = m["bounds"], m["final"], m["window"]
+        n_rows = 3 * len(names)
+        if final.shape != (n_rows,):
+            raise WaveformError(
+                f"damaged waveform file {path}: {final.size} final values "
+                f"for {n_rows} rows"
+            )
+        if bounds.shape != (2, n_rows) or bounds.dtype.kind not in "iu":
+            raise WaveformError(
+                f"damaged waveform file {path}: bounds {bounds.dtype}"
+                f"{bounds.shape} do not match {n_rows} rows"
+            )
+        first, end = bounds
+        if nt < 1 or np.any(first < 0) or np.any(end > nt) or np.any(first > end):
+            raise WaveformError(
+                f"damaged waveform file {path}: window bounds outside [0, {nt}]"
+            )
+        if final.dtype.kind != "f" or window.ndim != 1 or window.dtype != final.dtype:
+            raise WaveformError(
+                f"damaged waveform file {path}: window {window.dtype}"
+                f"{window.shape} is not a 1-D float array of {final.dtype}"
+            )
+        if window.size != int(np.sum(end - first)):
+            raise WaveformError(
+                f"damaged waveform file {path}: window holds {window.size} "
+                f"samples, bounds span {int(np.sum(end - first))}"
+            )
+        data = np.where(np.arange(nt) < first[:, None], 0, final[:, None])
+        data.ravel()[_window_index(first, end, nt)] = window
+        return cls(data=data.reshape(len(names), 3, nt), **fields)
+
+
+#: Members of a product file, in the order :meth:`WaveformSet.save` writes.
+_MEMBERS = (
+    "rupture_id", "dt_s", "n_samples", "station_names", "bounds", "final", "window"
+)
+
+
+def _window_index(first: np.ndarray, end: np.ndarray, nt: int) -> np.ndarray:
+    """Flat indices into (rows, nt) of every row's samples first..end-1,
+    row after row."""
+    width = end - first
+    row_start = np.arange(width.size) * nt + first
+    return np.arange(width.sum()) + np.repeat(
+        row_start - (np.cumsum(width) - width), width
+    )
+
+
+def _read_member(archive: zipfile.ZipFile, name: str) -> np.ndarray:
+    """One ``.npy`` member, read to its end so zipfile checks its CRC-32.
+
+    ``np.load`` stops after the bytes the header asks for; a header
+    damaged into asking for fewer would otherwise skip the check.
+    """
+    with archive.open(f"{name}.npy") as member:
+        array = np.lib.format.read_array(member, allow_pickle=False)
+        if member.read():
+            raise ValueError(f"member {name!r} has bytes past its array")
+    return array
 
 
 class WaveformSynthesizer:

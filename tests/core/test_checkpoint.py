@@ -1,6 +1,7 @@
 """Crash-consistent checkpoint/resume for LocalRunner."""
 
 import json
+import shutil
 
 import pytest
 
@@ -193,6 +194,41 @@ def test_crash_resume_yields_identical_archive(tmp_path, ckpt_config):
     assert result.pgd_by_rupture == plain.pgd_by_rupture
     assert result.n_waveform_sets == ckpt_config.n_waveforms
     assert not (crash_dir / RunCheckpoint.DIRNAME).exists()
+
+
+def test_bitflipped_checkpointed_product_reexecutes_its_chunk(
+    tmp_path, ckpt_config
+):
+    """A product damaged after its chunk checkpointed fails the sha256
+    its row records: resume quarantines that chunk and re-executes it
+    instead of archiving the damaged bytes under a fresh digest."""
+    plain = LocalRunner().run(ckpt_config, archive_dir=tmp_path / "plain")
+    crash_dir = tmp_path / "flipped"
+    with pytest.raises(FaultInjected, match="3 completed C chunk"):
+        LocalRunner().run(
+            ckpt_config,
+            archive_dir=crash_dir,
+            checkpoint=True,
+            faults=FaultPlan(crashes=(ChunkCrash("C", 3),)),
+        )
+    products = sorted((crash_dir / RunCheckpoint.DIRNAME / "waveforms").glob("*.npz"))
+    assert len(products) == ckpt_config.n_waveforms
+    victim = products[3]  # the second rupture of C chunk 1
+    blob = bytearray(victim.read_bytes())
+    blob[len(blob) // 2] ^= 0x01
+    victim.write_bytes(bytes(blob))
+
+    result = LocalRunner().run(ckpt_config, archive_dir=crash_dir, resume=True)
+    assert result.chunks_executed == {"A": 0, "C": 1}
+    assert result.chunks_skipped == {"A": 3, "C": 2}
+    quarantine = crash_dir / RunCheckpoint.QUARANTINE_DIRNAME
+    assert sorted(p.name for p in quarantine.iterdir()) == [
+        "C_00001.pkl", "C_00001.pkl.reason", "C_00001.pkl.sha256"
+    ]
+    assert "sha256" in (quarantine / "C_00001.pkl.reason").read_text()
+    shutil.rmtree(quarantine)  # the evidence; not part of the archive
+    assert archive_bytes(tmp_path / "plain") == archive_bytes(crash_dir)
+    assert result.pgd_by_rupture == plain.pgd_by_rupture
 
 
 def test_interrupted_rebuild_resumes_to_identical_archive(

@@ -166,6 +166,140 @@ def test_load_empty_file_raises_waveform_error(tmp_path):
     assert isinstance(info.value.__cause__, EOFError)
 
 
+def test_save_keeps_only_the_active_window(tmp_path, clean_set):
+    # Clean records are 0 before the first arrival and constant after
+    # the last saturation: the window is a fraction of the record.
+    path = clean_set.save(tmp_path / "wf.npz")
+    with np.load(path) as npz:
+        assert set(npz.files) == set(waveforms_mod._MEMBERS)
+        assert npz["window"].size < clean_set.data.size // 2
+        assert npz["window"].dtype == clean_set.data.dtype
+    back = WaveformSet.load(path)
+    assert back.data.tobytes() == clean_set.data.tobytes()
+
+
+def test_window_bounds_of_edge_rows(tmp_path):
+    # Rows: all zero, constant, non-zero only at the last sample, a
+    # step with a ramp, and one that returns to 0 (its final value).
+    data = np.zeros((2, 3, 8))
+    data[0, 1] = 2.5
+    data[0, 2, -1] = 1.0
+    data[1, 0, 3:] = [0.5, 1.0, 1.0, 1.0, 1.0]
+    data[1, 1, 2:5] = [1.0, -1.0, 2.0]
+    ws = WaveformSet("edge", data, 1.0, ("A", "B"))
+    bounds = _members(ws.save(tmp_path / "edge.npz"))["bounds"]
+    assert bounds.T.tolist() == [[0, 0], [0, 0], [7, 7], [3, 4], [2, 5], [0, 0]]
+    assert WaveformSet.load(tmp_path / "edge.npz").data.tobytes() == data.tobytes()
+
+
+def _members(path):
+    with np.load(path) as npz:
+        return {name: npz[name] for name in npz.files}
+
+
+def _rewrite(path, **changes):
+    """Re-save a product with members replaced (``None`` drops one)."""
+    members = {**_members(path), **changes}
+    np.savez(path, **{k: v for k, v in members.items() if v is not None})
+
+
+def _set(array, index, value):
+    array = array.copy()
+    array[index] = value
+    return array
+
+
+@pytest.mark.parametrize(
+    "damage, match",
+    [
+        (lambda m: {"bounds": _set(m["bounds"], (1, 0), m["n_samples"] + 1)}, "outside"),
+        (lambda m: {"bounds": _set(m["bounds"], (0, 0), -1)}, "outside"),
+        (lambda m: {"bounds": _set(m["bounds"], (0, 0), m["bounds"][1, 0] + 1)}, "outside"),
+        (lambda m: {"bounds": m["bounds"][:, :-1]}, "bounds"),
+        (lambda m: {"bounds": m["bounds"].astype(float)}, "bounds"),
+        (lambda m: {"window": m["window"][:-1]}, "window holds"),
+        (lambda m: {"window": m["window"].astype(np.float32)}, "window"),
+        (lambda m: {k: m[k].astype(np.int64) for k in ("final", "window")}, "float"),
+        (lambda m: {"final": m["final"][:-1]}, "final values"),
+        (lambda m: {"n_samples": np.array(0)}, r"outside \[0, 0\]"),
+    ],
+)
+def test_load_rejects_inconsistent_members(tmp_path, clean_set, damage, match):
+    path = clean_set.save(tmp_path / "wf.npz")
+    _rewrite(path, **damage(_members(path)))
+    with pytest.raises(WaveformError, match=match):
+        WaveformSet.load(path)
+
+
+@pytest.mark.parametrize("member", waveforms_mod._MEMBERS)
+def test_load_rejects_missing_member(tmp_path, clean_set, member):
+    path = clean_set.save(tmp_path / "wf.npz")
+    _rewrite(path, **{member: None})
+    with pytest.raises(WaveformError, match="wf.npz") as info:
+        WaveformSet.load(path)
+    assert isinstance(info.value.__cause__, KeyError)
+
+
+def test_load_rejects_zlib_format_product(tmp_path, clean_set):
+    # The format before the active window: one compressed `data` member.
+    path = tmp_path / "old.npz"
+    np.savez_compressed(
+        path,
+        rupture_id=np.array(clean_set.rupture_id),
+        data=clean_set.data,
+        dt_s=np.array(clean_set.dt_s),
+        station_names=np.array(clean_set.station_names),
+    )
+    with pytest.raises(WaveformError, match="old.npz") as info:
+        WaveformSet.load(path)
+    assert isinstance(info.value.__cause__, KeyError)
+
+
+def assert_same_set(back, ws):
+    assert back.data.dtype == ws.data.dtype
+    assert back.data.shape == ws.data.shape
+    assert back.data.tobytes() == ws.data.tobytes()
+    assert back.rupture_id == ws.rupture_id
+    assert back.station_names == ws.station_names
+    assert back.dt_s == ws.dt_s
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    damage=st.one_of(
+        st.tuples(st.just("truncate"), st.floats(0.0, 1.0, exclude_max=True)),
+        st.tuples(
+            st.just("garble"),
+            st.lists(
+                st.tuples(st.floats(0.0, 1.0, exclude_max=True), st.integers(1, 255)),
+                min_size=1,
+                max_size=4,
+            ),
+        ),
+    )
+)
+def test_property_damaged_product_raises_waveform_error(
+    tmp_path_factory, clean_set, damage
+):
+    path = clean_set.save(tmp_path_factory.mktemp("damage") / "wf.npz")
+    blob = bytearray(path.read_bytes())
+    kind, how = damage
+    if kind == "truncate":
+        del blob[int(how * len(blob)) :]
+    else:
+        for where, flip in how:
+            blob[int(where * len(blob))] ^= flip
+    path.write_bytes(bytes(blob))
+    try:
+        back = WaveformSet.load(path)
+    except WaveformError:
+        return
+    # Only a byte no reader looks at (a local-header timestamp, say)
+    # can change without an error; what loads is then the original.
+    assert kind == "garble"
+    assert_same_set(back, clean_set)
+
+
 def test_waveform_set_validation():
     with pytest.raises(WaveformError):
         WaveformSet(
@@ -306,6 +440,46 @@ def test_property_within_budget_of_oracle_at_edges(case):
         bank, dt_s=dt, duration_s=duration
     ).synthesize_batch(ruptures)
     assert_within_budget(got, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    case=edge_chunks(),
+    noisy=st.booleans(),
+    dtype=st.sampled_from(["float64", "float32"]),
+    edits=st.lists(
+        st.tuples(st.integers(0, 2**16), st.sampled_from(["zero", "last", "-0.0"])),
+        max_size=4,
+    ),
+)
+def test_property_save_load_is_bitwise(tmp_path_factory, case, noisy, dtype, edits):
+    """Products decode bit for bit in their dtype: the edge chunks above
+    (dt in {0.2, 0.5, 1, 2}, records cut mid-ramp or before any
+    arrival), with or without noise, from float32 or float64 banks, with
+    rows made all-zero, non-zero only at the last sample, or starting
+    with -0.0."""
+    bank, ruptures, dt, duration = case
+    noise = GnssNoiseModel() if noisy else None
+    synth = WaveformSynthesizer(
+        bank.astype(dtype), dt_s=dt, duration_s=duration, noise=noise
+    )
+    rngs = [np.random.default_rng(k) for k in range(len(ruptures))] if noisy else None
+    out = tmp_path_factory.mktemp("roundtrip")
+    for ws in synth.synthesize_batch(ruptures, rngs=rngs):
+        data = ws.data.copy()
+        rows = data.reshape(-1, ws.n_samples)
+        for row, edit in edits:
+            target = rows[row % len(rows)]
+            if edit == "-0.0":
+                target[0] = -0.0
+            else:
+                target[:] = 0.0
+                if edit == "last":
+                    target[-1] = 0.125
+        ws = dataclasses.replace(ws, data=data)
+        assert ws.data.dtype == np.dtype(dtype)
+        back = WaveformSet.load(ws.save(out / f"{ws.rupture_id}.npz"))
+        assert_same_set(back, ws)
 
 
 def test_batch_with_shared_rng_matches_sequential_noise(small_gf_bank, rupture_batch):
