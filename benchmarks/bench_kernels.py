@@ -43,7 +43,7 @@ import pytest
 from _common import bench_scale
 from repro.core.config import FdwConfig
 from repro.core.gfcache import GFCache
-from repro.core.local import LocalRunner, _fakequakes_for, _run_c_chunk
+from repro.core.local import LocalRunner, _fakequakes_for
 from repro.core.phases import chunk_bounds
 import repro.seismo.ruptures as ruptures_mod
 from repro.seismo.distance import DistanceMatrices

@@ -62,7 +62,9 @@ from repro.seismo.ruptures import Rupture
 
 __all__ = ["RunCheckpoint", "config_digest", "atomic_write_bytes"]
 
-#: Rows of one Phase-C chunk: (rupture_id, max PGD, target Mw, filename).
+#: Rows of one Phase-C chunk: (rupture_id, max PGD, target Mw, product
+#: path). Only a run that archives nothing has ``None`` paths, and it
+#: keeps no checkpoint.
 CRow = tuple[str, float, float, "str | None"]
 
 
@@ -76,10 +78,9 @@ def config_digest(config: FdwConfig) -> str:
     return hashlib.sha256(repr(config).encode()).hexdigest()
 
 
-def _product_digest(path: Path) -> str | None:
-    """sha256 of a waveform product, or ``None`` if it is not on disk
-    (a row stored that way is checked for presence only)."""
-    return sha256_bytes(path.read_bytes()) if path.exists() else None
+def _product_digest(path: Path) -> str:
+    """sha256 of a waveform product on disk."""
+    return sha256_bytes(path.read_bytes())
 
 
 class RunCheckpoint:
@@ -270,16 +271,21 @@ class RunCheckpoint:
 
         Call only after the chunk's waveform ``.npz`` products are on
         disk in :attr:`waveforms_dir` (product-before-manifest ordering):
-        each row records its product's sha256, which
-        :meth:`load_c_chunk` checks. Paths in ``rows`` are normalized to
-        bare filenames so the checkpoint stays relocatable.
+        each row records its product's bare filename (so the checkpoint
+        stays relocatable) and sha256, which :meth:`load_c_chunk` checks.
+
+        Raises
+        ------
+        CheckpointError
+            If a row names no product or its product is not on disk.
         """
-        normalized = [
-            (rid, pgd, mw, None, None)
-            if path is None
-            else (rid, pgd, mw, Path(path).name, _product_digest(Path(path)))
-            for rid, pgd, mw, path in rows
-        ]
+        normalized = []
+        for rid, pgd, mw, path in rows:
+            if path is None or not Path(path).is_file():
+                raise CheckpointError(
+                    f"C chunk {index}: waveform product of {rid} is not on disk: {path}"
+                )
+            normalized.append((rid, pgd, mw, Path(path).name, _product_digest(Path(path))))
         self._write_artifact(
             self._chunk_path("C", index),
             pickle.dumps(normalized, protocol=pickle.HIGHEST_PROTOCOL),
@@ -302,15 +308,12 @@ class RunCheckpoint:
         rows = self._read_chunk("C", index)
         out: list[CRow] = []
         for rid, pgd, mw, name, digest in rows:  # type: ignore[union-attr]
-            if name is None:
-                out.append((rid, pgd, mw, None))
-                continue
             path = self.waveforms_dir / name
             if not path.exists():
                 raise CheckpointError(
                     f"C chunk {index}: checkpointed waveform missing: {path}"
                 )
-            if digest is not None and _product_digest(path) != digest:
+            if _product_digest(path) != digest:
                 raise IntegrityError(
                     f"C chunk {index}: checkpointed waveform {name} does "
                     "not match its recorded sha256"

@@ -52,7 +52,7 @@ from repro.seismo.geometry import FaultGeometry
 from repro.seismo.greens import (
     DEFAULT_RAKE_DEG,
     GreensFunctionBank,
-    compute_gf_bank,
+    compute_gf_bank_for_method,
 )
 from repro.seismo.kinematics import DEFAULT_SHEAR_VELOCITY_KMS
 from repro.seismo.stations import StationNetwork
@@ -83,7 +83,7 @@ def gf_bank_key(
     """Content-addressed cache key of a GF bank.
 
     The key hashes every input that flows into
-    :func:`~repro.seismo.greens.compute_gf_bank` (or the Okada variant):
+    :func:`~repro.seismo.greens.compute_gf_bank_for_method` (either flavour):
     the full subfault table, the ordered station list, the scalar model
     parameters, and the bank dtype. Any change to any of them — a
     different mesh, one moved station, another rake, a float32 bank —
@@ -340,11 +340,11 @@ class GFCache:
     ) -> GreensFunctionBank:
         """Return the bank for these inputs, computing it at most once.
 
-        ``compute`` overrides the default kernel call (used by the Okada
-        flavour and by tests); its result is stored under the
-        content-addressed key of the inputs. ``dtype`` is part of that
-        key, so float32 and float64 banks of the same physics occupy
-        distinct entries.
+        A miss runs :func:`~repro.seismo.greens.compute_gf_bank_for_method`,
+        or ``compute`` when given (tests use it); the result is stored
+        under the content-addressed key of the inputs. ``dtype`` is part
+        of that key, so float32 and float64 banks of the same physics
+        occupy distinct entries.
         """
         key = gf_bank_key(
             geometry,
@@ -360,14 +360,11 @@ class GFCache:
             return bank
         if compute is not None:
             bank = compute()
-        elif gf_method == "okada":
-            from repro.seismo.okada import compute_okada_gf_bank
-
-            bank = compute_okada_gf_bank(geometry, network, dtype=dtype)
         else:
-            bank = compute_gf_bank(
+            bank = compute_gf_bank_for_method(
                 geometry,
                 network,
+                gf_method=gf_method,
                 rake_deg=rake_deg,
                 shear_velocity_kms=shear_velocity_kms,
                 min_distance_km=min_distance_km,

@@ -6,18 +6,27 @@ plays that role two ways:
 
 * :meth:`LocalRunner.run` executes the *real* seismic kernels of
   :mod:`repro.seismo` through the same phase/chunk structure the OSG
-  jobs use, sequentially or with a process pool, and returns the actual
-  products. This is feasible at example/test scale.
+  jobs use and returns the actual products. This is feasible at
+  example/test scale.
 * :func:`estimate_sequential_runtime_s` predicts what the full-scale
   workload would take on the single host by summing the calibrated
   per-job costs — this is the control number the
   ``bench_single_machine_vs_osg`` benchmark compares against (the
   56.8 % headline).
 
-The pool path shares one Green's-function bank across all workers
-through :mod:`repro.core.gfcache`: the parent computes (or cache-loads)
-the bank once, publishes its arrays into ``multiprocessing``
-shared-memory segments, and ships workers only a small picklable
+A chunk is defined once and runs the same way wherever it lands, as an
+FDW job does on the control host or an OSPool slot. Both phases go
+through one chunk loop: reload checkpointed chunks, then run the rest
+in the parent when the runner has one worker or at most one chunk is
+pending, otherwise as one pool future per chunk; every chunk passes
+the same retry wrapper and the same per-phase completion hook. Every
+Phase-C product is spooled to one directory (the checkpoint's waveform
+store, or ``<archive>/_spool``) before the parent archives it.
+
+The pool shares one Green's-function bank across all workers through
+:mod:`repro.core.gfcache`: the parent computes (or cache-loads) the
+bank once, publishes its arrays into ``multiprocessing`` shared-memory
+segments, and ships workers only a small picklable
 :class:`~repro.core.gfcache.SharedBankHandle` plus the pre-generated
 rupture chunk. Workers never rebuild geometry, distances, ruptures, or
 the bank — the in-process equivalent of every Phase-C job pulling the
@@ -28,7 +37,7 @@ from __future__ import annotations
 
 import time
 import weakref
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from multiprocessing import resource_tracker
 from pathlib import Path
@@ -36,7 +45,7 @@ from pathlib import Path
 from repro import obs
 from repro.errors import ConfigError
 from repro.resilience import RetryPolicy, retry_call
-from repro.core.checkpoint import RunCheckpoint
+from repro.core.checkpoint import CRow, RunCheckpoint
 from repro.core.config import FdwConfig
 from repro.core.gfcache import (
     GFCache,
@@ -49,6 +58,7 @@ from repro.core.phases import chunk_bounds, plan_phases
 from repro.osg.runtimes import RuntimeModel
 from repro.rng import RngFactory
 from repro.seismo.fakequakes import FakeQuakes, FakeQuakesParameters
+from repro.seismo.greens import GreensFunctionBank
 from repro.seismo.klcache import KLCache
 from repro.seismo.mudpy_io import ProductArchive, write_rupt
 from repro.seismo.ruptures import Rupture
@@ -100,23 +110,6 @@ def _fakequakes_for(
     return FakeQuakes.from_parameters(params, gf_cache=gf_cache, kl_cache=kl_cache)
 
 
-def _run_c_chunk(args: tuple[FdwConfig, int, int]) -> list[float]:
-    """Legacy worker: rebuild everything, synthesize one C chunk.
-
-    This is the seed pool path — every worker re-derives geometry,
-    distances, the rupture chunk, *and the full GF bank* per chunk. Kept
-    only as the "before" arm of ``benchmarks/bench_kernels.py``;
-    :class:`LocalRunner` now dispatches :func:`_synthesize_chunk_shared`
-    instead.
-    """
-    config, start, count = args
-    fq = _fakequakes_for(config)
-    fq.phase_a_distances()
-    ruptures = fq.phase_a_ruptures(start, count)
-    sets = fq.phase_c_waveforms(ruptures)
-    return [float(ws.pgd_m().max()) for ws in sets]
-
-
 #: Pool task for one Phase-A chunk: (parameters, start, count, K-L dir).
 _AChunkTask = tuple[FakeQuakesParameters, int, int, "str | None"]
 
@@ -135,10 +128,10 @@ def _run_a_chunk(task: _AChunkTask) -> list[Rupture]:
     an independent RNG from each rupture's *catalog index* — chunk
     [start, start+count) produces the identical ruptures in any process,
     so the pooled catalog is bit-identical to the sequential one. Each
-    worker keeps its session for the life of the process, with an
-    exact-mode K-L cache over ``kl_dir`` (the runner's disk store) —
-    a basis eigendecomposed by *any* worker is a disk hit for every
-    other worker and every later run of the same configuration.
+    worker keeps its session for the life of the process, with a K-L
+    cache over ``kl_dir`` (the runner's disk store) — a basis
+    eigendecomposed by *any* worker is a disk hit for every other
+    worker and every later run of the same configuration.
     """
     params, start, count, kl_dir = task
     fq = _A_SESSIONS.get((params, kl_dir))
@@ -149,23 +142,20 @@ def _run_a_chunk(task: _AChunkTask) -> list[Rupture]:
     return fq.phase_a_ruptures(start, count)
 
 
-#: Pool task: (shared-bank handle, parameters, rupture chunk, spool dir).
-_ChunkTask = tuple[SharedBankHandle, FakeQuakesParameters, list[Rupture], str | None]
+def _synthesize_chunk(
+    bank: GreensFunctionBank,
+    params: FakeQuakesParameters,
+    ruptures: list[Rupture],
+    spool_dir: str | None,
+) -> list[CRow]:
+    """Synthesize one C chunk against ``bank``.
 
-
-def _synthesize_chunk_shared(
-    task: _ChunkTask,
-) -> list[tuple[str, float, float, str | None]]:
-    """Worker: synthesize one C chunk against the shared GF bank.
-
-    Attaches the published bank (idempotent per worker process — the
-    segments are mapped once and reused for every subsequent chunk),
-    runs the batched synthesis kernel, and spools each product to
+    Runs the batched synthesis kernel and spools each product to
     ``spool_dir`` when the run archives. Returns one row per rupture:
-    ``(rupture_id, max PGD, target Mw, spooled path or None)``.
+    ``(rupture_id, max PGD, target Mw, spooled path or None)``. The
+    parent calls this with its own bank; pool workers reach it through
+    :func:`_synthesize_chunk_shared`.
     """
-    handle, params, ruptures, spool_dir = task
-    bank = attach_shared_bank(handle)
     noise = GnssNoiseModel() if params.with_noise else None
     synth = WaveformSynthesizer(bank, dt_s=params.dt_s, noise=noise)
     rngs = (
@@ -173,7 +163,7 @@ def _synthesize_chunk_shared(
         if params.with_noise
         else None
     )
-    rows: list[tuple[str, float, float, str | None]] = []
+    rows: list[CRow] = []
     for ws in synth.synthesize_batch(ruptures, rngs=rngs):
         path: str | None = None
         if spool_dir is not None:
@@ -188,6 +178,20 @@ def _synthesize_chunk_shared(
             )
         )
     return rows
+
+
+#: Pool task: (shared-bank handle, parameters, rupture chunk, spool dir).
+_CChunkTask = tuple[SharedBankHandle, FakeQuakesParameters, list[Rupture], str | None]
+
+
+def _synthesize_chunk_shared(task: _CChunkTask) -> list[CRow]:
+    """Worker: synthesize one C chunk against the shared GF bank.
+
+    Attaching is idempotent per worker process: the segments are mapped
+    once and reused for every subsequent chunk.
+    """
+    handle, params, ruptures, spool_dir = task
+    return _synthesize_chunk(attach_shared_bank(handle), params, ruptures, spool_dir)
 
 
 def _release_state(state: dict) -> None:
@@ -211,11 +215,12 @@ class LocalRunner:
     Parameters
     ----------
     n_workers:
-        1 (default) mirrors MudPy's native sequential behaviour; >1
-        fans A chunks out over a persistent process pool (each worker
-        caching its Phase-A session) and C chunks over the same pool
-        reading one shared-memory copy of the GF bank (see module
-        docstring). Both pooled phases are bit-identical to sequential.
+        1 (default) mirrors MudPy's native sequential behaviour: every
+        chunk runs in the parent. >1 fans each phase's pending chunks
+        out over a persistent process pool (A workers cache their
+        Phase-A session, C workers read one shared-memory copy of the
+        GF bank; see module docstring) whenever more than one chunk is
+        pending. Every placement is bit-identical to sequential.
     gf_cache:
         The :class:`~repro.core.gfcache.GFCache` Phase B routes
         through. ``None`` builds a private cache (which still honours
@@ -224,9 +229,9 @@ class LocalRunner:
     kl_cache:
         The :class:`~repro.seismo.klcache.KLCache` the *parent-side*
         Phase A routes through (sequential runs and the single-chunk
-        fall-through). ``None`` builds a private exact-mode cache
+        fall-through). ``None`` builds a private cache
         (which still honours ``REPRO_KL_CACHE_DIR``). Pool workers
-        always build their own per-process exact-mode caches.
+        always build their own per-process caches.
 
     The pool and the published shared-memory segments persist across
     :meth:`run` calls — repeated runs of the same configuration skip
@@ -266,8 +271,15 @@ class LocalRunner:
             self._state["pool"] = ProcessPoolExecutor(max_workers=self.n_workers)
         return self._state["pool"]
 
-    def _shared_handle(self, key: str, fq: FakeQuakes) -> SharedBankHandle:
-        """Publish the bank for ``key`` once; reuse the handle afterwards."""
+    def _shared_handle(self, fq: FakeQuakes) -> SharedBankHandle:
+        """Publish ``fq``'s bank once per content key; reuse the handle
+        afterwards."""
+        key = gf_bank_key(
+            fq.geometry,
+            fq.network,
+            gf_method=fq.params.gf_method,
+            dtype=fq.params.gf_dtype,
+        )
         handle = self._published.get(key)
         if handle is None:
             handle, segments = publish_shared_bank(fq.phase_b_greens_functions(), key)
@@ -342,15 +354,24 @@ class LocalRunner:
             if archive_dir is not None and ckpt is None
             else None
         )
+        # Every Phase-C product lands in one spool, wherever its chunk
+        # ran; only the parent adds it to the archive (the archive index
+        # is not multiprocess-safe).
+        spool: Path | None = None
+        if ckpt is not None:
+            spool = ckpt.waveforms_dir
+        elif archive is not None:
+            spool = archive.root / "_spool"
+            spool.mkdir(parents=True, exist_ok=True)
+        spool_dir = str(spool) if spool is not None else None
 
-        t0 = time.perf_counter()
-        fq.phase_a_distances()
-        timings["dist"] = time.perf_counter() - t0
-        # Phase spans carry wall time; ``ts`` is the perf_counter origin
-        # the tracer's default clock also uses, so runner spans line up
-        # with any surrounding obs.span() blocks on the same timeline.
-        obs.complete("phase:dist", ts=t0, dur=timings["dist"],
-                     category="local", track="runner")
+        def end_phase(name: str, t0: float, args: dict | None = None) -> None:
+            # Phase spans carry wall time; ``ts`` is the perf_counter
+            # origin the tracer's default clock also uses, so runner
+            # spans line up with any surrounding obs.span() blocks.
+            timings[name] = time.perf_counter() - t0
+            obs.complete(f"phase:{name}", ts=t0, dur=timings[name],
+                         category="local", track="runner", args=args)
 
         retries = {"A": 0, "C": 0}
         backoff_s = [0.0]
@@ -358,10 +379,9 @@ class LocalRunner:
             getattr(faults, "chunk_attempt", None) if faults is not None else None
         )
 
-        def attempted(phase, index, fn, resubmit=None):
+        def attempted(phase, index, fn, resubmit):
             """One chunk's execution, retry-wrapped when a fault plan
-            can inject flakes. Without a plan the call is direct — the
-            legacy path stays byte-for-byte untouched."""
+            can inject flakes. Without a plan the call is direct."""
             if attempt_hook is None:
                 return fn()
 
@@ -379,8 +399,7 @@ class LocalRunner:
                     obs.counter_add(
                         "repro_local_retry_backoff_seconds_total", delay
                     )
-                if resubmit is not None:
-                    resubmit()
+                resubmit()
 
             outcome = retry_call(
                 once,
@@ -391,232 +410,138 @@ class LocalRunner:
             )
             return outcome.value
 
-        t0 = time.perf_counter()
-        chunks_a: list[list[Rupture]] = [[] for _ in a_chunks]
-        pending_a: list[int] = []
-        for i in range(len(a_chunks)):
-            chunk = ckpt.try_load_a_chunk(i) if ckpt is not None and ckpt.is_done("A", i) else None
-            if chunk is not None:
-                chunks_a[i] = chunk
-                skipped["A"] += 1
+        def run_phase(phase, n_chunks, load, here, worker, tasks, done) -> list:
+            """The one chunk loop both phases share.
+
+            Reloads checkpointed chunks with ``load``, then runs the rest
+            in the parent (``here(index)``) when there is no pool or at
+            most one chunk is pending, otherwise as one ``worker``
+            future per chunk over ``tasks(pending)``. Every chunk goes
+            through :func:`attempted` — a flaked pool chunk is
+            resubmitted on its own — and finishes with ``done(index,
+            result)``.
+            """
+            t0 = time.perf_counter()
+            results: list = [None] * n_chunks
+            pending: list[int] = []
+            for i in range(n_chunks):
+                restored = load(i) if ckpt is not None and ckpt.is_done(phase, i) else None
+                if restored is None:
+                    pending.append(i)
+                    continue
+                results[i] = restored
+                skipped[phase] += 1
                 obs.counter_add(
                     "repro_local_chunks_total", 1,
-                    {"phase": "A", "outcome": "skipped"},
+                    {"phase": phase, "outcome": "skipped"},
                 )
+            futures: dict[int, Future] = {}
+            if self.n_workers == 1 or len(pending) <= 1:
+                submit, result = (lambda i: None), here
             else:
-                pending_a.append(i)
+                pool = self._ensure_pool()
+                by_index = tasks(pending)
+
+                def submit(i: int) -> None:
+                    futures[i] = pool.submit(worker, by_index[i])
+
+                def result(i: int):
+                    return futures[i].result()
+
+                for i in pending:
+                    submit(i)
+            try:
+                for i in pending:
+                    results[i] = attempted(
+                        phase, i, lambda i=i: result(i), lambda i=i: submit(i)
+                    )
+                    done(i, results[i])
+                    executed[phase] += 1
+                    obs.counter_add(
+                        "repro_local_chunks_total", 1,
+                        {"phase": phase, "outcome": "executed"},
+                    )
+                    if faults is not None:
+                        faults.chunk_completed(phase)
+            finally:
+                # A chunk that raised leaves no queued work behind.
+                for future in futures.values():
+                    future.cancel()
+            end_phase(phase, t0, {"executed": executed[phase], "skipped": skipped[phase]})
+            return results
+
+        t0 = time.perf_counter()
+        fq.phase_a_distances()
+        end_phase("dist", t0)
+
+        def a_tasks(pending: list[int]) -> dict[int, _AChunkTask]:
+            # Per-index RNG keying makes chunks process-independent, so
+            # the pooled catalog is bit-identical to the parent's. Workers
+            # share the runner's disk K-L store when one is configured.
+            kl_dir = self.kl_cache.cache_dir
+            return {
+                i: (fq.params, *a_chunks[i], str(kl_dir) if kl_dir is not None else None)
+                for i in pending
+            }
 
         def a_done(index: int, chunk: list[Rupture]) -> None:
-            chunks_a[index] = chunk
             if ckpt is not None:
                 ckpt.store_a_chunk(index, chunk)
-            executed["A"] += 1
-            obs.counter_add(
-                "repro_local_chunks_total", 1,
-                {"phase": "A", "outcome": "executed"},
-            )
-            if faults is not None:
-                faults.chunk_completed("A")
 
-        if self.n_workers == 1 or len(pending_a) <= 1:
-            for i in pending_a:
-                start, count = a_chunks[i]
-                a_done(
-                    i,
-                    attempted(
-                        "A", i, lambda s=start, c=count: fq.phase_a_ruptures(s, c)
-                    ),
-                )
-        else:
-            # Pooled Phase-A fan-out: per-index RNG keying makes chunks
-            # process-independent, so the catalog is bit-identical to
-            # the sequential loop above (ids, slip, kinematics). Workers
-            # share the runner's disk K-L store when one is configured.
-            pool = self._ensure_pool()
-            kl_dir = (
-                str(self.kl_cache.cache_dir)
-                if self.kl_cache.cache_dir is not None
-                else None
-            )
-            a_tasks: dict[int, _AChunkTask] = {
-                i: (fq.params, *a_chunks[i], kl_dir) for i in pending_a
-            }
-            if attempt_hook is None:
-                for i, chunk in zip(
-                    pending_a, pool.map(_run_a_chunk, list(a_tasks.values()))
-                ):
-                    a_done(i, chunk)
-            else:
-                # Per-chunk futures so a flaked chunk can be resubmitted
-                # alone while the rest of the fan-out keeps running.
-                a_futs = {i: pool.submit(_run_a_chunk, a_tasks[i]) for i in pending_a}
-                for i in pending_a:
-                    a_done(
-                        i,
-                        attempted(
-                            "A",
-                            i,
-                            lambda i=i: a_futs[i].result(),
-                            resubmit=lambda i=i: a_futs.__setitem__(
-                                i, pool.submit(_run_a_chunk, a_tasks[i])
-                            ),
-                        ),
-                    )
+        chunks_a = run_phase(
+            "A",
+            len(a_chunks),
+            lambda i: ckpt.try_load_a_chunk(i),
+            lambda i: fq.phase_a_ruptures(*a_chunks[i]),
+            _run_a_chunk,
+            a_tasks,
+            a_done,
+        )
         ruptures: list[Rupture] = [r for chunk in chunks_a for r in chunk]
-        timings["A"] = time.perf_counter() - t0
-        obs.complete("phase:A", ts=t0, dur=timings["A"],
-                     category="local", track="runner",
-                     args={"executed": executed["A"], "skipped": skipped["A"]})
 
         t0 = time.perf_counter()
         fq.phase_b_greens_functions()
-        timings["B"] = time.perf_counter() - t0
-        obs.complete("phase:B", ts=t0, dur=timings["B"],
-                     category="local", track="runner")
+        end_phase("B", t0)
 
-        t0 = time.perf_counter()
-        rows_by_chunk: list[list[tuple[str, float, float, "str | None"]]] = [
-            [] for _ in c_chunks
-        ]
-        pending_c: list[int] = []
-        for i in range(len(c_chunks)):
-            c_rows = ckpt.try_load_c_chunk(i) if ckpt is not None and ckpt.is_done("C", i) else None
-            if c_rows is not None:
-                rows_by_chunk[i] = c_rows
-                skipped["C"] += 1
-                obs.counter_add(
-                    "repro_local_chunks_total", 1,
-                    {"phase": "C", "outcome": "skipped"},
-                )
-            else:
-                pending_c.append(i)
+        def c_ruptures(index: int) -> list[Rupture]:
+            start, count = c_chunks[index]
+            return ruptures[start : start + count]
 
-        def c_done(index: int, rows: list[tuple[str, float, float, "str | None"]]) -> None:
-            rows_by_chunk[index] = rows
+        def c_tasks(pending: list[int]) -> dict[int, _CChunkTask]:
+            handle = self._shared_handle(fq)
+            return {i: (handle, fq.params, c_ruptures(i), spool_dir) for i in pending}
+
+        def c_done(index: int, rows: list[CRow]) -> None:
             if ckpt is not None:
                 ckpt.store_c_chunk(index, rows)
-            executed["C"] += 1
-            obs.counter_add(
-                "repro_local_chunks_total", 1,
-                {"phase": "C", "outcome": "executed"},
-            )
-            if faults is not None:
-                faults.chunk_completed("C")
-
-        if self.n_workers == 1:
-
-            def run_c_chunk(start: int, count: int) -> list[tuple[str, float, float, "str | None"]]:
-                sets = fq.phase_c_waveforms(ruptures[start : start + count])
-                rows: list[tuple[str, float, float, "str | None"]] = []
-                for ws in sets:
-                    path: str | None = None
-                    if ckpt is not None:
-                        path = str(ckpt.waveforms_dir / f"{ws.rupture_id}.npz")
-                        ws.save(path)
-                    elif archive is not None:
-                        tmp = archive.root / f"_tmp_{ws.rupture_id}.npz"
-                        ws.save(tmp)
-                        archive.add_file(
-                            tmp,
-                            kind="waveforms",
-                            label=ws.rupture_id,
-                            metadata={"mw": round(ws.metadata.get("target_mw", 0.0), 3)},
-                            move=True,
-                        )
-                    rows.append(
-                        (
-                            ws.rupture_id,
-                            float(ws.pgd_m().max()),
-                            float(ws.metadata.get("target_mw", 0.0)),
-                            path,
-                        )
-                    )
-                return rows
-
-            for i in pending_c:
-                start, count = c_chunks[i]
-                c_done(
-                    i,
-                    attempted(
-                        "C", i, lambda s=start, c=count: run_c_chunk(s, c)
-                    ),
-                )
-        else:
-            key = gf_bank_key(
-                fq.geometry,
-                fq.network,
-                gf_method=fq.params.gf_method,
-                dtype=fq.params.gf_dtype,
-            )
-            handle = self._shared_handle(key, fq)
-            spool: Path | None = None
-            if ckpt is not None:
-                spool = ckpt.waveforms_dir
             elif archive is not None:
-                spool = archive.root / "_spool"
-                spool.mkdir(parents=True, exist_ok=True)
-            c_tasks: dict[int, _ChunkTask] = {
-                i: (
-                    handle,
-                    fq.params,
-                    ruptures[c_chunks[i][0] : c_chunks[i][0] + c_chunks[i][1]],
-                    str(spool) if spool is not None else None,
-                )
-                for i in pending_c
-            }
-            pool = self._ensure_pool()
-            if attempt_hook is None:
-                chunk_results = zip(
-                    pending_c, pool.map(_synthesize_chunk_shared, list(c_tasks.values()))
-                )
-            else:
-                c_futs = {
-                    i: pool.submit(_synthesize_chunk_shared, c_tasks[i])
-                    for i in pending_c
-                }
-                chunk_results = (
-                    (
-                        i,
-                        attempted(
-                            "C",
-                            i,
-                            lambda i=i: c_futs[i].result(),
-                            resubmit=lambda i=i: c_futs.__setitem__(
-                                i, pool.submit(_synthesize_chunk_shared, c_tasks[i])
-                            ),
-                        ),
+                for rupture_id, _pgd_max, target_mw, path in rows:
+                    archive.add_file(
+                        Path(path),  # type: ignore[arg-type]
+                        kind="waveforms",
+                        label=rupture_id,
+                        metadata={"mw": round(target_mw, 3)},
+                        move=True,
                     )
-                    for i in pending_c
-                )
-            for i, chunk_rows in chunk_results:
-                if archive is not None:
-                    for rupture_id, pgd_max, target_mw, path in chunk_rows:
-                        if path is not None:
-                            # Workers spool; the parent owns the manifest (the
-                            # archive index is not multiprocess-safe).
-                            archive.add_file(
-                                Path(path),
-                                kind="waveforms",
-                                label=rupture_id,
-                                metadata={"mw": round(target_mw, 3)},
-                                move=True,
-                            )
-                c_done(i, chunk_rows)
-            if archive is not None and spool is not None:
-                try:
-                    spool.rmdir()
-                except OSError:  # pragma: no cover - stray spool files
-                    pass
-        pgd: dict[str, float] = {}
-        n_sets = 0
-        for chunk_rows in rows_by_chunk:
-            for rupture_id, pgd_max, _target_mw, _path in chunk_rows:
-                pgd[rupture_id] = pgd_max
-                n_sets += 1
-        timings["C"] = time.perf_counter() - t0
-        obs.complete("phase:C", ts=t0, dur=timings["C"],
-                     category="local", track="runner",
-                     args={"executed": executed["C"], "skipped": skipped["C"]})
+
+        rows_by_chunk: list[list[CRow]] = run_phase(
+            "C",
+            len(c_chunks),
+            lambda i: ckpt.try_load_c_chunk(i),
+            lambda i: _synthesize_chunk(
+                fq.phase_b_greens_functions(), fq.params, c_ruptures(i), spool_dir
+            ),
+            _synthesize_chunk_shared,
+            c_tasks,
+            c_done,
+        )
+        if archive is not None:
+            try:
+                spool.rmdir()  # type: ignore[union-attr]
+            except OSError:  # pragma: no cover - stray spool files
+                pass
+        pgd = {rid: pgd_max for rows in rows_by_chunk for rid, pgd_max, _mw, _p in rows}
+        n_sets = sum(len(rows) for rows in rows_by_chunk)
 
         if ckpt is not None:
             # All chunks durable: rebuild the archive from the checkpoint
@@ -627,14 +552,13 @@ class LocalRunner:
             archive = ProductArchive(Path(archive_dir), name=config.name)  # type: ignore[arg-type]
             for chunk_rows in rows_by_chunk:
                 for rupture_id, _pgd_max, target_mw, path in chunk_rows:
-                    if path is not None:
-                        archive.add_file(
-                            Path(path),
-                            kind="waveforms",
-                            label=rupture_id,
-                            metadata={"mw": round(target_mw, 3)},
-                            move=False,
-                        )
+                    archive.add_file(
+                        Path(path),  # type: ignore[arg-type]
+                        kind="waveforms",
+                        label=rupture_id,
+                        metadata={"mw": round(target_mw, 3)},
+                        move=False,
+                    )
         if archive is not None:
             for rupture in ruptures:
                 tmp = archive.root / f"_tmp_{rupture.rupture_id}.rupt"
@@ -656,9 +580,9 @@ class LocalRunner:
             phase_seconds=timings,
             archive_root=archive.root if archive is not None else None,
             pgd_by_rupture=pgd,
-            chunks_executed=dict(executed),
-            chunks_skipped=dict(skipped),
-            chunk_retries=dict(retries),
+            chunks_executed=executed,
+            chunks_skipped=skipped,
+            chunk_retries=retries,
             retry_backoff_s=backoff_s[0],
         )
 

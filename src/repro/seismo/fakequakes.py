@@ -25,7 +25,7 @@ from repro.errors import ConfigError
 from repro.rng import RngFactory
 from repro.seismo.distance import DistanceMatrices
 from repro.seismo.geometry import FaultGeometry, build_chile_slab
-from repro.seismo.greens import GreensFunctionBank, compute_gf_bank
+from repro.seismo.greens import GreensFunctionBank, compute_gf_bank_for_method
 from repro.seismo.klcache import KLCache
 from repro.seismo.ruptures import Rupture, RuptureGenerator
 from repro.seismo.stations import StationNetwork, chilean_network
@@ -217,15 +217,12 @@ class FakeQuakes:
                     gf_method=self.params.gf_method,
                     dtype=self.params.gf_dtype,
                 )
-            elif self.params.gf_method == "okada":
-                from repro.seismo.okada import compute_okada_gf_bank
-
-                self._gf_bank = compute_okada_gf_bank(
-                    self.geometry, self.network, dtype=self.params.gf_dtype
-                )
             else:
-                self._gf_bank = compute_gf_bank(
-                    self.geometry, self.network, dtype=self.params.gf_dtype
+                self._gf_bank = compute_gf_bank_for_method(
+                    self.geometry,
+                    self.network,
+                    gf_method=self.params.gf_method,
+                    dtype=self.params.gf_dtype,
                 )
         return self._gf_bank
 

@@ -31,7 +31,12 @@ from repro.seismo.geometry import FaultGeometry
 from repro.seismo.kinematics import DEFAULT_SHEAR_VELOCITY_KMS
 from repro.seismo.stations import StationNetwork
 
-__all__ = ["GreensFunctionBank", "compute_gf_bank", "radiation_patterns"]
+__all__ = [
+    "GreensFunctionBank",
+    "compute_gf_bank",
+    "compute_gf_bank_for_method",
+    "radiation_patterns",
+]
 
 #: Default rake: pure thrust, the megathrust mechanism.
 DEFAULT_RAKE_DEG = 90.0
@@ -300,3 +305,38 @@ def compute_gf_bank(
     if np.dtype(dtype) != np.dtype(np.float64):
         bank = bank.astype(dtype)
     return bank
+
+
+def compute_gf_bank_for_method(
+    geometry: FaultGeometry,
+    network: StationNetwork,
+    gf_method: str = "point",
+    rake_deg: float = DEFAULT_RAKE_DEG,
+    shear_velocity_kms: float = DEFAULT_SHEAR_VELOCITY_KMS,
+    min_distance_km: float = 1.0,
+    dtype: str | np.dtype = "float64",
+) -> GreensFunctionBank:
+    """Compute the bank of one GF flavour: the point-source kernel
+    (:func:`compute_gf_bank`, the default) or, for ``gf_method="okada"``,
+    the finite-fault :func:`~repro.seismo.okada.compute_okada_gf_bank`
+    (which has no distance floor, so ``min_distance_km`` does not apply).
+    """
+    if gf_method == "okada":
+        # Imported here: repro.seismo.okada builds on this module.
+        from repro.seismo.okada import compute_okada_gf_bank
+
+        return compute_okada_gf_bank(
+            geometry,
+            network,
+            rake_deg=rake_deg,
+            shear_velocity_kms=shear_velocity_kms,
+            dtype=dtype,
+        )
+    return compute_gf_bank(
+        geometry,
+        network,
+        rake_deg=rake_deg,
+        shear_velocity_kms=shear_velocity_kms,
+        min_distance_km=min_distance_km,
+        dtype=dtype,
+    )

@@ -20,15 +20,9 @@ Phase B:
 * a two-level :class:`KLCache` — in-memory LRU over
   :class:`~repro.seismo.spectra.KarhunenLoeveBasis` objects backed by an
   optional on-disk ``.npz`` store (point ``REPRO_KL_CACHE_DIR`` at a
-  shared directory to reuse bases across processes and runs);
-* an **opt-in quantized-correlation-length mode** for catalog sweeps:
-  rounding the continuous scaling-law lengths onto a grid makes nearby
-  ruptures share cache entries at the cost of slightly different
-  numerics. It is **off by default** precisely because it changes the
-  sampled slip fields; the exact mode is bit-identical to the uncached
-  path.
+  shared directory to reuse bases across processes and runs).
 
-Exact-mode guarantee: a cold ``get_or_compute`` runs the very same
+Bit-identity guarantee: a cold ``get_or_compute`` runs the very same
 kernel calls the uncached path runs, and both the memory and the
 ``.npz`` level round-trip float64 losslessly — so warm hits reproduce
 cold-path ruptures bit-for-bit.
@@ -144,15 +138,6 @@ class KLCache:
         LRU capacity. Bases evicted from memory survive on disk when a
         ``cache_dir`` is configured. Patch bases are far smaller than GF
         banks (p x k floats), so the default is generous.
-    quantize_step_km:
-        ``None`` (default) keys on the exact correlation lengths — the
-        bit-identical mode. A positive value switches on the
-        **numerics-changing** quantized mode: both correlation lengths
-        are rounded to the nearest multiple of the step *before* the
-        correlation is built, so ruptures with nearby scaling-law draws
-        share one basis. Use only for high-hit-rate catalog sweeps where
-        slip-field perturbations at the quantization scale are
-        acceptable.
     verify_digests:
         Verify each disk entry's sha256 sidecar on load (default); a
         failed check or unparseable entry is quarantined into
@@ -164,49 +149,22 @@ class KLCache:
         self,
         cache_dir: str | Path | None = None,
         max_memory_entries: int = 128,
-        quantize_step_km: float | None = None,
         verify_digests: bool = True,
     ) -> None:
         if max_memory_entries < 1:
             raise CacheError(
                 f"max_memory_entries must be >= 1, got {max_memory_entries}"
             )
-        if quantize_step_km is not None and quantize_step_km <= 0:
-            raise CacheError(
-                f"quantize_step_km must be positive, got {quantize_step_km}"
-            )
         if cache_dir is None:
             env = os.environ.get(CACHE_DIR_ENV, "").strip()
             cache_dir = env or None
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.max_memory_entries = int(max_memory_entries)
-        self.quantize_step_km = (
-            float(quantize_step_km) if quantize_step_km is not None else None
-        )
         self.verify_digests = bool(verify_digests)
         self._memory: OrderedDict[str, KarhunenLoeveBasis] = OrderedDict()
         self.stats = KLCacheStats()
         #: Paths of quarantined artifacts, in quarantine order.
         self.quarantined: list[Path] = []
-
-    # -- quantized mode -------------------------------------------------------
-
-    def effective_lengths(
-        self, corr_len_strike_km: float, corr_len_dip_km: float
-    ) -> tuple[float, float]:
-        """The correlation lengths actually used (and keyed).
-
-        Exact mode returns the inputs unchanged; quantized mode snaps
-        both onto the configured grid (never below one step, to keep
-        them positive).
-        """
-        step = self.quantize_step_km
-        if step is None:
-            return float(corr_len_strike_km), float(corr_len_dip_km)
-        return (
-            max(step, round(corr_len_strike_km / step) * step),
-            max(step, round(corr_len_dip_km / step) * step),
-        )
 
     # -- paths ---------------------------------------------------------------
 
@@ -329,14 +287,10 @@ class KLCache:
         The cold path runs the exact kernel calls
         :meth:`~repro.seismo.ruptures.RuptureGenerator._sample_slip` runs
         without a cache (unique-lag correlation + truncated ``eigh``), so
-        warm hits are bit-identical to the uncached computation. In
-        quantized mode the lengths are snapped first (numerics-changing;
-        see :attr:`quantize_step_km`).
+        warm hits are bit-identical to the uncached computation.
         """
         patch = np.asarray(patch, dtype=np.int64)
-        corr_s, corr_d = self.effective_lengths(
-            corr_len_strike_km, corr_len_dip_km
-        )
+        corr_s, corr_d = float(corr_len_strike_km), float(corr_len_dip_km)
         key = kl_basis_key(
             distances, patch, corr_s, corr_d, hurst=hurst, n_modes=n_modes
         )

@@ -129,15 +129,23 @@ def test_resume_without_manifest_starts_fresh(tmp_path, ckpt_config):
 
 
 def test_load_requires_done_and_products(tmp_path, ckpt_config):
+    """A C row is stored only once its product is on disk, with the
+    product's name and sha256; a product that disappears afterwards
+    fails the load."""
     ck = RunCheckpoint(tmp_path, ckpt_config, n_a_chunks=3, n_c_chunks=3)
     with pytest.raises(CheckpointError, match="not checkpointed"):
         ck.load_a_chunk(0)
-    ck.store_c_chunk(1, [("r1", 0.5, 7.0, "r1.npz")])
+    product = ck.waveforms_dir / "r1.npz"
+    for path in (str(product), None):
+        with pytest.raises(CheckpointError, match="not on disk"):
+            ck.store_c_chunk(1, [("r1", 0.5, 7.0, path)])
+    assert not ck.is_done("C", 1)
+    product.write_bytes(b"x")
+    ck.store_c_chunk(1, [("r1", 0.5, 7.0, str(product))])
+    assert ck.load_c_chunk(1) == [("r1", 0.5, 7.0, str(product))]
+    product.unlink()
     with pytest.raises(CheckpointError, match="waveform missing"):
-        ck.load_c_chunk(1)  # row recorded, product never landed
-    (ck.waveforms_dir / "r1.npz").write_bytes(b"x")
-    rows = ck.load_c_chunk(1)
-    assert rows == [("r1", 0.5, 7.0, str(ck.waveforms_dir / "r1.npz"))]
+        ck.load_c_chunk(1)
 
 
 def test_checkpoint_requires_archive_dir(ckpt_config):
@@ -291,3 +299,26 @@ def test_pooled_crash_resume_matches_sequential(tmp_path, ckpt_config):
     # boundary; .npz products are compared by bytes too (np.savez is
     # deterministic for identical arrays).
     assert plain_files == pooled_files
+
+
+def test_pooled_resume_runs_last_c_chunk_in_parent(tmp_path, ckpt_config):
+    """A pooled runner that resumes with one pending C chunk runs it in
+    the parent (no pool, no published bank) and still produces the
+    uninterrupted archive byte for byte."""
+    LocalRunner().run(ckpt_config, archive_dir=tmp_path / "plain")
+    crash_dir = tmp_path / "one_left"
+    with LocalRunner(n_workers=2) as runner:
+        with pytest.raises(FaultInjected, match="2 completed C chunk"):
+            runner.run(
+                ckpt_config,
+                archive_dir=crash_dir,
+                checkpoint=True,
+                faults=FaultPlan(crashes=(ChunkCrash("C", 2),)),
+            )
+    with LocalRunner(n_workers=2) as runner:
+        result = runner.run(ckpt_config, archive_dir=crash_dir, resume=True)
+        assert runner._state["pool"] is None
+        assert not runner._published
+    assert result.chunks_executed == {"A": 0, "C": 1}
+    assert result.chunks_skipped == {"A": 3, "C": 2}
+    assert archive_bytes(tmp_path / "plain") == archive_bytes(crash_dir)

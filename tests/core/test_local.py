@@ -119,16 +119,19 @@ def test_pool_path_matches_sequential(tiny_config, run_result):
 
 
 def test_pool_path_archives(tmp_path, tiny_config):
-    """Regression: the seed pool path silently dropped archive_dir."""
-    with LocalRunner(n_workers=2) as runner:
-        result = runner.run(tiny_config, archive_dir=tmp_path / "arch")
-    archive = ProductArchive(tmp_path / "arch")
-    assert len(archive.find(kind="waveforms")) == tiny_config.n_waveforms
-    assert len(archive.find(kind="ruptures")) == tiny_config.n_waveforms
-    assert result.archive_root == archive.root
-    # No spool or temp files left behind.
-    assert not list(archive.root.glob("_tmp_*"))
-    assert not (archive.root / "_spool").exists()
+    """Regression: the seed pool path silently dropped archive_dir. Both
+    placements (parent and pool) spool through ``_spool`` and leave
+    nothing behind."""
+    for n_workers in (1, 2):
+        with LocalRunner(n_workers=n_workers) as runner:
+            result = runner.run(tiny_config, archive_dir=tmp_path / f"arch{n_workers}")
+        archive = ProductArchive(tmp_path / f"arch{n_workers}")
+        assert len(archive.find(kind="waveforms")) == tiny_config.n_waveforms
+        assert len(archive.find(kind="ruptures")) == tiny_config.n_waveforms
+        assert result.archive_root == archive.root
+        # No spool or temp files left behind.
+        assert not list(archive.root.glob("_tmp_*"))
+        assert not (archive.root / "_spool").exists()
 
 
 def test_pool_archive_matches_sequential_archive(tmp_path, tiny_config):
